@@ -371,8 +371,8 @@ def _demo_mass(target: ModelTarget) -> np.ndarray:
 
 def cmd_precision_demo(args) -> int:
     data_key, init_key, _, _ = _expand_seed(args.seed)
-    if args.steps < 1 or args.chains < 1:
-        raise UsageError("--steps and --chains must be positive")
+    if args.steps < 1 or args.chains < 1 or args.leapfrog_steps < 1:
+        raise UsageError("--steps, --chains and --leapfrog-steps must be positive")
     if args.model is not None:
         base = build_dataset(args.model, data_key)
     else:
@@ -420,9 +420,8 @@ def cmd_precision_demo(args) -> int:
                      under="ignore", divide="ignore"):
         for t in range(args.steps):
             m0 = (np.asarray(normal(mom_keys[t], [c, dim])) * sqrt_mass).astype(np.float32)
-            zc, mc, vc, gc = z, m0, value, grad
-            for _ in range(args.leapfrog_steps):
-                zc, mc, vc, gc = leapfrog_step(t32, eps, zc, mc, gc, mass_diag=mass)
+            zc, mc, vc, _ = leapfrog_step(t32, eps, z, m0, grad, mass_diag=mass,
+                                          num_steps=args.leapfrog_steps)
             ok = np.all(np.isfinite(zc), axis=1) & np.all(np.isfinite(mc), axis=1)
             zc = np.where(ok[:, None], zc, z)
             mc = np.where(ok[:, None], mc, m0)

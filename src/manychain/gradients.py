@@ -1,9 +1,9 @@
 """Gradient access and its independent numerical check.
 
-Targets carry their own analytic gradients (value_and_grad method), derived
-by chain rule through the exp reparameterization of the scales; this module
-is the seam where a gradient can be validated against central finite
-differences before anyone trusts it inside a trajectory.
+Targets carry their own analytic gradients (grad and value_and_grad
+methods), derived by chain rule through the exp reparameterization of the
+scales; this module is the seam where a gradient can be validated against
+central finite differences before anyone trusts it inside a trajectory.
 """
 
 from __future__ import annotations

@@ -18,7 +18,13 @@ softplus -logaddexp(0, -sign * logit), never through probabilities.
 log_prob_ratio computes log p(z_new) - log p(z_old) by differencing the two
 states per prior term and per observation BEFORE summing. In single
 precision this sidesteps the catastrophic loss that hits the naive
-difference of two large totals once |log density| crosses 2**24.
+difference of two large totals once |log density| crosses 2**24. The
+sampler gets those per-term pieces from value_and_grad(z, terms=True) at
+trajectory endpoints and differences cached ones with terms_ratio, the
+same code log_prob_ratio runs.
+
+grad(z) is the gradient alone, bitwise equal to value_and_grad(z)[1]: the
+gradient code exists once and both call it.
 """
 
 from __future__ import annotations
@@ -270,22 +276,6 @@ class ModelTarget:
             raise ValueError(f"state must have {self.dim} entries, got {zb.shape[1]}")
         return zb[:, 0], zb[:, 1 : 1 + d], zb[:, 1 + d :]
 
-    def _prior_terms(self, zb):
-        """Per-coordinate unconstrained prior terms, Jacobian included.
-
-        Gamma(a, r) on v = exp(u) plus the du contribution collapses to
-        a*log r - lgamma(a) + a*u - r*exp(u), which stays -inf (never NaN or
-        +inf) as u walks off either end of the line.
-        """
-        u_tau, u_lamb, beta = self._split_state(zb)
-        a = self.dtype(self.prior_gamma_shape)
-        r = self.dtype(self.prior_gamma_rate)
-        with np.errstate(over="ignore"):
-            t_tau = self._gamma_const + a * u_tau - r * np.exp(u_tau)
-            t_lamb = self._gamma_const + a * u_lamb - r * np.exp(u_lamb)
-        t_beta = self._normal_const - self.dtype(0.5) * beta * beta
-        return t_tau, t_lamb, t_beta
-
     def _logits(self, zb):
         u_tau, u_lamb, beta = self._split_state(zb)
         # overflow to inf is fine: an overflowed scale is dead by prior and
@@ -295,58 +285,78 @@ class ModelTarget:
             coefs = scale * beta
             return coefs @ self._x.T, scale, coefs
 
-    def _terms(self, zb):
-        t_tau, t_lamb, t_beta = self._prior_terms(zb)
-        logits, _, _ = self._logits(zb)
-        t_obs = _bernoulli_terms(logits, self._sign)
-        return t_tau, t_lamb, t_beta, t_obs
+    def _terms(self, zb, logits):
+        """Every additive piece of the log density, one row per state:
+        [t_tau, t_lamb (D), t_beta (D), t_obs (N)], so (C, P + N).
 
-    def log_prob(self, z):
-        """Unconstrained log density (prior + likelihood + log-det-Jacobian)."""
-        zb, single = self._prepare(z)
-        out = self._log_prob_batch(zb)
-        return out[0] if single else out
-
-    def _log_prob_batch(self, zb):
-        t_tau, t_lamb, t_beta, t_obs = self._terms(zb)
-        prior = t_tau + t_lamb.sum(axis=1) + t_beta.sum(axis=1)
-        total = prior + t_obs.sum(axis=1)
-        # a scale that overflowed exp() is dead by prior; never report NaN
-        return np.where(np.isfinite(prior), total, self.dtype(-np.inf))
-
-    def value_and_grad(self, z):
-        """Log density and its analytic gradient, one shared evaluation.
-
-        The value is computed through exactly the same operations as
-        log_prob, so the two agree bit for bit.
+        Gamma(a, r) on v = exp(u) plus the du contribution collapses to
+        a*log r - lgamma(a) + a*u - r*exp(u), which stays -inf (never NaN or
+        +inf) as u walks off either end of the line.
         """
-        zb, single = self._prepare(z)
         u_tau, u_lamb, beta = self._split_state(zb)
         a = self.dtype(self.prior_gamma_shape)
         r = self.dtype(self.prior_gamma_rate)
-
         with np.errstate(over="ignore", invalid="ignore"):
             t_tau = self._gamma_const + a * u_tau - r * np.exp(u_tau)
             t_lamb = self._gamma_const + a * u_lamb - r * np.exp(u_lamb)
             t_beta = self._normal_const - self.dtype(0.5) * beta * beta
-            logits, scale, coefs = self._logits(zb)
             t_obs = _bernoulli_terms(logits, self._sign)
-            prior = t_tau + t_lamb.sum(axis=1) + t_beta.sum(axis=1)
-            value = np.where(
-                np.isfinite(prior),
-                prior + t_obs.sum(axis=1),
-                self.dtype(-np.inf),
-            )
+        return np.concatenate([t_tau[:, None], t_lamb, t_beta, t_obs], axis=1)
 
+    def _prior_scale_sum(self, terms):
+        return terms[:, 0] + terms[:, 1 : 1 + self.num_features].sum(axis=1)
+
+    def _value(self, terms):
+        p = self.dim
+        prior = self._prior_scale_sum(terms) + terms[:, 1 + self.num_features : p].sum(axis=1)
+        total = prior + terms[:, p:].sum(axis=1)
+        # a scale that overflowed exp() is dead by prior; never report NaN
+        return np.where(np.isfinite(prior), total, self.dtype(-np.inf))
+
+    def _grad(self, zb, logits, scale, coefs):
+        """The analytic gradient, the one copy grad and value_and_grad share."""
+        u_tau, u_lamb, beta = self._split_state(zb)
+        d = self.num_features
+        a = self.dtype(self.prior_gamma_shape)
+        r = self.dtype(self.prior_gamma_rate)
+        with np.errstate(over="ignore", invalid="ignore"):
             resid = self._y - expit(logits)  # (C, N)
             g = resid @ self._x  # (C, D)
             grad = np.empty_like(zb)
             grad[:, 0] = (a - r * np.exp(u_tau)) + (coefs * g).sum(axis=1)
-            grad[:, 1 : 1 + self.num_features] = (a - r * np.exp(u_lamb)) + coefs * g
-            grad[:, 1 + self.num_features :] = -beta + scale * g
-        if single:
-            return value[0], grad[0]
-        return value, grad
+            grad[:, 1 : 1 + d] = (a - r * np.exp(u_lamb)) + coefs * g
+            grad[:, 1 + d :] = -beta + scale * g
+        return grad
+
+    def log_prob(self, z):
+        """Unconstrained log density (prior + likelihood + log-det-Jacobian)."""
+        zb, single = self._prepare(z)
+        out = self._value(self._terms(zb, self._logits(zb)[0]))
+        return out[0] if single else out
+
+    def grad(self, z):
+        """Gradient of log_prob alone, bitwise equal to value_and_grad(z)[1].
+
+        Skips the per-observation likelihood terms, most of the cost of a
+        value, which is why interior leapfrog steps call this.
+        """
+        zb, single = self._prepare(z)
+        grad = self._grad(zb, *self._logits(zb))
+        return grad[0] if single else grad
+
+    def value_and_grad(self, z, terms=False):
+        """Log density and its analytic gradient, one shared evaluation.
+
+        The value is computed through exactly the same operations as
+        log_prob, so the two agree bit for bit. With terms=True the per-term
+        pieces the value was summed from come back third, ready for
+        terms_ratio.
+        """
+        zb, single = self._prepare(z)
+        logits, scale, coefs = self._logits(zb)
+        t = self._terms(zb, logits)
+        out = (self._value(t), self._grad(zb, logits, scale, coefs)) + ((t,) if terms else ())
+        return tuple(a[0] for a in out) if single else out
 
     def log_prob_ratio(self, z_new, z_old):
         """log p(z_new) - log p(z_old), differenced term by term.
@@ -360,23 +370,31 @@ class ModelTarget:
         zo, single_o = self._prepare(z_old)
         if zn.shape != zo.shape:
             raise ValueError(f"state shapes differ: {zn.shape} vs {zo.shape}")
-        tn_tau, tn_lamb, tn_beta, tn_obs = self._terms(zn)
-        to_tau, to_lamb, to_beta, to_obs = self._terms(zo)
+        ratio = self.terms_ratio(
+            self._terms(zn, self._logits(zn)[0]), self._terms(zo, self._logits(zo)[0])
+        )
+        return ratio[0] if (single_n and single_o) else ratio
+
+    def terms_ratio(self, terms_new, terms_old):
+        """log_prob_ratio from the (C, P + N) terms of value_and_grad.
+
+        A state dead by its scale prior (-inf) gives -inf as the new state
+        and +inf as the old one; two dead states give -inf.
+        """
+        d, p = self.num_features, self.dim
         # inf - inf between two dead states is masked right below
         with np.errstate(invalid="ignore"):
-            ratio = (
-                (tn_tau - to_tau)
-                + (tn_lamb - to_lamb).sum(axis=1)
-                + (tn_beta - to_beta).sum(axis=1)
-                + (tn_obs - to_obs).sum(axis=1)
-            )
-        prior_n = tn_tau + tn_lamb.sum(axis=1)
-        prior_o = to_tau + to_lamb.sum(axis=1)
-        dead_n = ~np.isfinite(prior_n)
-        dead_o = ~np.isfinite(prior_o)
+            diff = terms_new - terms_old
+        ratio = (
+            diff[:, 0]
+            + diff[:, 1 : 1 + d].sum(axis=1)
+            + diff[:, 1 + d : p].sum(axis=1)
+            + diff[:, p:].sum(axis=1)
+        )
+        dead_n = ~np.isfinite(self._prior_scale_sum(terms_new))
+        dead_o = ~np.isfinite(self._prior_scale_sum(terms_old))
         ratio = np.where(dead_n, self.dtype(-np.inf), ratio)
-        ratio = np.where(dead_o & ~dead_n, self.dtype(np.inf), ratio)
-        return ratio[0] if (single_n and single_o) else ratio
+        return np.where(dead_o & ~dead_n, self.dtype(np.inf), ratio)
 
     def _prepare(self, z):
         z = np.asarray(z, dtype=self.dtype)
@@ -446,24 +464,31 @@ class GaussianTarget:
             raise ValueError(f"state must have {self.dim} entries, got {zb.shape[1]}")
         return zb, single
 
+    def _terms(self, zb):
+        return self.dtype(-0.5) * zb * zb
+
     def log_prob(self, z):
         zb, single = self._prepare(z)
-        out = self._const + (self.dtype(-0.5) * zb * zb).sum(axis=1)
+        out = self._const + self._terms(zb).sum(axis=1)
         return out[0] if single else out
 
-    def value_and_grad(self, z):
+    def grad(self, z):
         zb, single = self._prepare(z)
-        value = self._const + (self.dtype(-0.5) * zb * zb).sum(axis=1)
-        grad = -zb
-        if single:
-            return value[0], grad[0]
-        return value, grad
+        return -zb[0] if single else -zb
+
+    def value_and_grad(self, z, terms=False):
+        zb, single = self._prepare(z)
+        t = self._terms(zb)
+        out = (self._const + t.sum(axis=1), -zb) + ((t,) if terms else ())
+        return tuple(a[0] for a in out) if single else out
 
     def log_prob_ratio(self, z_new, z_old):
         zn, single_n = self._prepare(z_new)
         zo, single_o = self._prepare(z_old)
         if zn.shape != zo.shape:
             raise ValueError(f"state shapes differ: {zn.shape} vs {zo.shape}")
-        half = self.dtype(0.5)
-        ratio = (half * zo * zo - half * zn * zn).sum(axis=1)
+        ratio = self.terms_ratio(self._terms(zn), self._terms(zo))
         return ratio[0] if (single_n and single_o) else ratio
+
+    def terms_ratio(self, terms_new, terms_old):
+        return (terms_new - terms_old).sum(axis=1)

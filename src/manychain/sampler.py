@@ -15,9 +15,12 @@ chains are processed in fixed chunks whose layout does not depend on the
 worker count, and every cross-chain reduction happens in the coordinator in
 a fixed order, so --threads N reproduces --threads 1 exactly.
 
-Rejected chains keep their cached density value and gradient; a non-finite
-proposal density, coordinate, or ratio forces rejection through a -inf log
-accept ratio rather than poisoning the batch with NaNs.
+Interior leapfrog steps evaluate only the gradient; the density value, and
+the per-term pieces the stable ratio differences, are evaluated once per
+trajectory at its endpoint. Rejected chains keep their cached density value,
+gradient and terms; a non-finite proposal density, coordinate, or ratio
+forces rejection through a -inf log accept ratio rather than poisoning the
+batch with NaNs.
 """
 
 from __future__ import annotations
@@ -77,11 +80,17 @@ class HmcConfig:
 
 @dataclass
 class ChainBatch:
-    """C chain states with cached log density values and gradients."""
+    """C chain states with cached log density values and gradients.
+
+    terms caches the per-term log density pieces (value_and_grad with
+    terms=True) of every state for the stable ratio; it stays None until a
+    stable-ratio step fills it in.
+    """
 
     z: np.ndarray  # (C, P)
     value: np.ndarray  # (C,)
     grad: np.ndarray  # (C, P)
+    terms: np.ndarray | None = None  # (C, K)
 
     @classmethod
     def init(cls, target, z_init) -> "ChainBatch":
@@ -104,13 +113,17 @@ class ChainBatch:
         return self.z.shape[1]
 
     def check_cache(self, target, atol=0.0):
-        """Debug helper: recompute value/grad and compare with the cache."""
-        value, grad = target.value_and_grad(self.z)
-        ok = np.allclose(value, self.value, atol=atol, rtol=0.0) and np.allclose(
-            grad, self.grad, atol=atol, rtol=0.0
+        """Debug helper: recompute value/grad (and terms, when cached) and
+        compare with the cache."""
+        fresh = target.value_and_grad(self.z, terms=True)
+        cached = (self.value, self.grad, self.terms)
+        ok = all(
+            np.allclose(f, c, atol=atol, rtol=0.0)
+            for f, c in zip(fresh, cached)
+            if c is not None
         )
         if not ok:
-            raise AssertionError("cached value/grad out of sync with states")
+            raise AssertionError("cached value/grad/terms out of sync with states")
 
 
 @dataclass
@@ -124,9 +137,12 @@ class StepOutput:
     num_leapfrog_used: int
 
 
-def leapfrog_step(target, step_size, z, m, grad, mass_diag=None):
-    """One leapfrog update: half momentum kick, position drift by m / mass,
-    density re-evaluation, half kick. Returns (z, m, value, grad)."""
+def leapfrog_step(target, step_size, z, m, grad, mass_diag=None, num_steps=1):
+    """num_steps leapfrog updates, each a half momentum kick, a position
+    drift by m / mass and a half kick. Returns (z, m, value, grad) at the
+    end of the last update."""
+    if num_steps < 1:
+        raise ValueError(f"num_steps must be >= 1, got {num_steps}")
     dtype = target.dtype
     z = np.asarray(z, dtype=dtype)
     m = np.asarray(m, dtype=dtype)
@@ -139,39 +155,43 @@ def leapfrog_step(target, step_size, z, m, grad, mass_diag=None):
         inv_mass = (1.0 / np.asarray(mass_diag)).astype(dtype)
     else:
         inv_mass = None
-    z, m, value, grad = _leapfrog(target, eps, 1, z, m, grad, inv_mass)
-    if single:
-        return z[0], m[0], value[0], grad[0]
-    return z, m, value, grad
+    out = _leapfrog(target, eps, num_steps, z, m, grad, inv_mass)[:4]
+    return tuple(a[0] for a in out) if single else out
 
 
 def _leapfrog(target, eps, num_steps, z, m, grad, inv_mass):
+    """Integrate num_steps >= 1 leapfrog updates. Interior steps need only
+    the gradient; the density value and its per-term pieces are evaluated
+    once, at the endpoint. Returns (z, m, value, grad, terms)."""
     half = eps * z.dtype.type(0.5)
-    value = None
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for _ in range(num_steps):
+        for step in range(num_steps, 0, -1):
             m = m + half * grad
-            if inv_mass is None:
-                z = z + eps * m
+            z = z + eps * (m if inv_mass is None else m * inv_mass)
+            if step > 1:
+                grad = _eval(target.grad, z)
             else:
-                z = z + eps * (m * inv_mass)
-            value, grad = _eval(target, z)
+                value, grad, terms = _eval(target.value_and_grad, z, terms=True)
             m = m + half * grad
-    if value is None:
-        value, grad = _eval(target, z)
-    return z, m, value, grad
+    return z, m, value, grad, terms
 
 
-def _eval(target, z):
-    """value_and_grad that tolerates non-finite states mid-trajectory."""
-    if np.all(np.isfinite(z)):
-        return target.value_and_grad(z)
-    dead = ~np.all(np.isfinite(z), axis=1)
-    safe = np.where(dead[:, None], z.dtype.type(0.0), z)
-    value, grad = target.value_and_grad(safe)
-    value = np.where(dead, z.dtype.type(-np.inf), value)
-    grad = np.where(dead[:, None], z.dtype.type(np.nan), grad)
-    return value, grad
+def _eval(evaluate, z, **kwargs):
+    """evaluate(z) that tolerates non-finite states mid-trajectory: a dead
+    row is evaluated at the origin instead and comes back with value -inf
+    and every other output NaN."""
+    finite = np.all(np.isfinite(z), axis=1)
+    if finite.all():
+        return evaluate(z, **kwargs)
+    dead = ~finite
+    out = evaluate(np.where(dead[:, None], z.dtype.type(0.0), z), **kwargs)
+
+    def mask(a):
+        if a.ndim == 1:
+            return np.where(dead, z.dtype.type(-np.inf), a)
+        return np.where(dead[:, None], z.dtype.type(np.nan), a)
+
+    return mask(out) if isinstance(out, np.ndarray) else tuple(map(mask, out))
 
 
 def draw_trajectory_length(jitter_key: RandomKey, base_steps: int, jitter: bool) -> int:
@@ -253,36 +273,37 @@ def hmc_step(
 
     def integrate(bounds):
         lo, hi = bounds
-        z1, m1, v1, g1 = _leapfrog(
+        z1, m1, v1, g1, t1 = _leapfrog(
             target, eps, num_steps, batch.z[lo:hi], m0[lo:hi], batch.grad[lo:hi], inv_mass
         )
-        ratio_part = None
-        if config.stable_ratio:
-            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-                finite = np.all(np.isfinite(z1), axis=1)
-                safe = np.where(finite[:, None], z1, batch.z[lo:hi])
-                ratio_part = np.asarray(target.log_prob_ratio(safe, batch.z[lo:hi]))
-                ratio_part = np.where(finite, ratio_part, dtype(-np.inf))
-        return z1, m1, v1, g1, ratio_part
+        if not config.stable_ratio:
+            return z1, m1, v1, g1, None, None, None
+        if batch.terms is None:
+            t0 = target.value_and_grad(batch.z[lo:hi], terms=True)[2]
+        else:
+            t0 = batch.terms[lo:hi]
+        # rows that went non-finite carry NaN terms; the proposal check
+        # below turns their ratio into a rejection
+        with np.errstate(invalid="ignore"):
+            ratio = target.terms_ratio(t1, t0)
+        return z1, m1, v1, g1, t0, t1, ratio
 
     if pool is not None and len(chunks) > 1:
         results = list(pool.map(integrate, chunks))
     else:
         results = [integrate(b) for b in chunks]
 
-    z1 = np.concatenate([r[0] for r in results])
-    m1 = np.concatenate([r[1] for r in results])
-    value1 = np.concatenate([r[2] for r in results])
-    grad1 = np.concatenate([r[3] for r in results])
+    columns = list(zip(*results))
+    z1, m1, value1, grad1 = (np.concatenate(col) for col in columns[:4])
+    if config.stable_ratio:
+        terms0, terms1, terms_ratio = (np.concatenate(col) for col in columns[4:])
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         if config.stable_ratio:
             kin_diff = (0.5 * ((m0 * m0) - (m1 * m1))) if inv_mass is None else (
                 0.5 * ((m0 * m0) - (m1 * m1)) * inv_mass
             )
-            log_accept_ratio = kin_diff.sum(axis=1) + np.concatenate(
-                [r[4] for r in results]
-            )
+            log_accept_ratio = kin_diff.sum(axis=1) + terms_ratio
         else:
             kin0 = (0.5 * m0 * m0 if inv_mass is None else 0.5 * m0 * m0 * inv_mass).sum(axis=1)
             kin1 = (0.5 * m1 * m1 if inv_mass is None else 0.5 * m1 * m1 * inv_mass).sum(axis=1)
@@ -303,6 +324,7 @@ def hmc_step(
         z=np.where(keep, z1, batch.z),
         value=np.where(accepted, value1, batch.value),
         grad=np.where(keep, grad1, batch.grad),
+        terms=np.where(keep, terms1, terms0) if config.stable_ratio else None,
     )
     out = StepOutput(
         z=new_batch.z,
@@ -408,13 +430,25 @@ class TraceSink:
 class MomentsSink:
     """Streams draws into Welford moments plus running ESJD/ChEES; keeps no
     trace. R-hat comes from the streamed moments; per-lag ESS is unavailable
-    at this retention level."""
+    at this retention level.
+
+    ChEES is centred on the final mean, as report_from_trace centres it.
+    That mean is unknown while draws stream in, so each transition's change
+    in squared distance a is taken about a fixed anchor (the first recorded
+    cross-chain mean) along with its jump j, and sum(a^2), sum(a j) and
+    sum(j j^T) are kept. Moving the centre by d shifts a by -2 d.j, so at
+    report time sum((a - 2 d.j)^2) = sum(a^2) - 4 d.sum(a j) + 4 d^T sum(j j^T) d.
+    This costs O(P^2) memory.
+    """
 
     def __init__(self):
         self.moments: diag.StreamingMoments | None = None
         self._prev = None
         self._esjd_sum = 0.0
-        self._chees_sum = 0.0
+        self._anchor = None
+        self._aa = 0.0
+        self._aj = None
+        self._jj = None
         self._jump_count = 0
         self._step_hm_sum = 0.0
         self._step_count = 0
@@ -425,10 +459,17 @@ class MomentsSink:
         z = np.asarray(out.z, dtype=np.float64)
         if self.moments is None:
             self.moments = diag.welford_init(z.shape)
+            self._anchor = z.mean(axis=0)
+            self._aj = np.zeros(z.shape[1])
+            self._jj = np.zeros((z.shape[1], z.shape[1]))
         if self._prev is not None:
-            center = self.moments.mean.mean(axis=0)
             self._esjd_sum += diag.esjd(self._prev, z)
-            self._chees_sum += diag.chees(self._prev, z, center)
+            jump = z - self._prev
+            a = ((z - self._anchor) ** 2).sum(axis=1)
+            a -= ((self._prev - self._anchor) ** 2).sum(axis=1)
+            self._aa += float(a @ a)
+            self._aj += a @ jump
+            self._jj += jump.T @ jump
             self._jump_count += 1
         self.moments = diag.welford_update(self.moments, z)
         self._prev = z
@@ -450,12 +491,15 @@ class MomentsSink:
         if self.moments is None or self.moments.count < 2:
             raise ValueError("not enough recorded draws for a report")
         rhat = diag.streaming_rhat(self.moments)
+        d = self.moments.mean.mean(axis=0) - self._anchor
+        sq_sum = self._aa - 4.0 * (d @ self._aj) + 4.0 * (d @ self._jj @ d)
+        jumps = self._jump_count  # at least 1 once two draws are in
         return diag.DiagnosticsReport(
             rhat=[float(v) for v in rhat],
             ess=None,
             ess_tau=None,
-            esjd=self._esjd_sum / max(self._jump_count, 1),
-            chees=self._chees_sum / max(self._jump_count, 1),
+            esjd=self._esjd_sum / jumps,
+            chees=0.25 * sq_sum / (jumps * self.moments.mean.shape[0]),
             mean_accept_harmonic=self._step_hm_sum / self._step_count,
             roundoff_flag_fraction=self._flag_count / self._ratio_count,
         )

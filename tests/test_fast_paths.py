@@ -1,0 +1,211 @@
+"""Fast paths checked bit for bit against the slow paths they replace:
+gradient-only evaluation, gradient-only interior leapfrog steps, the cached
+per-term stable ratio, and ChEES streamed under moments-only retention."""
+
+import json
+
+import numpy as np
+import pytest
+
+import manychain.sampler as sampler
+from manychain.cli import main
+from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
+from manychain.prng import fold_in, key_from_seed, normal, split
+from manychain.sampler import ChainBatch, HmcConfig, hmc_step
+
+
+def small_model(seed, precision="double", rows=80, features=4):
+    k_data, k_rest = split(key_from_seed(seed), 2)
+    ds = generate_synthetic(k_data, rows, features, 0.5)
+    return ModelTarget(ds, precision=precision), k_rest
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class CountingTarget:
+    """Wraps a target and counts its evaluations."""
+
+    def __init__(self, target):
+        self._target = target
+        self.calls = {"grad": 0, "value_and_grad": 0}
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+    def grad(self, z):
+        self.calls["grad"] += 1
+        return self._target.grad(z)
+
+    def value_and_grad(self, z, terms=False):
+        self.calls["value_and_grad"] += 1
+        return self._target.value_and_grad(z, terms=terms)
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_model_grad_is_bitwise_value_and_grad(precision):
+    target, key = small_model(31, precision)
+    batch = 0.7 * np.asarray(normal(key, [5, target.dim]))
+    overflow = batch.copy()
+    overflow[1, 0] = 1e3  # tau = exp(1000) overflows in both precisions
+    overflow[3, 2] = 1e3  # and so does one lamb
+    for z in (batch[0], batch, overflow):
+        assert same_bits(target.grad(z), target.value_and_grad(z)[1])
+        assert same_bits(target.grad(z), target.value_and_grad(z, terms=True)[1])
+    # the overflowed states really are dead, so the masking has work to do
+    assert np.isneginf(target.value_and_grad(overflow)[0][[1, 3]]).all()
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_gaussian_grad_is_bitwise_value_and_grad(precision):
+    g = GaussianTarget(3, precision=precision)
+    z = np.asarray(normal(key_from_seed(32), [4, 3]))
+    for state in (z[0], z):
+        assert same_bits(g.grad(state), g.value_and_grad(state)[1])
+
+
+@pytest.mark.parametrize("make_target", [
+    lambda: small_model(33)[0],
+    lambda: small_model(33, "single")[0],
+    lambda: GaussianTarget(9),
+])
+def test_terms_sum_to_value_and_ratio_matches_log_prob_ratio(make_target):
+    target = make_target()
+    k_a, k_b = split(key_from_seed(34), 2)
+    za = 0.5 * np.asarray(normal(k_a, [6, target.dim]))
+    zb = 0.5 * np.asarray(normal(k_b, [6, target.dim]))
+    va, ga, ta = target.value_and_grad(za, terms=True)
+    assert same_bits(va, target.value_and_grad(za)[0])
+    assert same_bits(va, target.log_prob(za))
+    _, _, tb = target.value_and_grad(zb, terms=True)
+    assert same_bits(target.terms_ratio(ta, tb), target.log_prob_ratio(za, zb))
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_terms_ratio_dead_state_rules(precision):
+    target, key = small_model(38, precision)
+    d = target.num_features
+    z = (0.3 * np.asarray(normal(key, [1, target.dim]))).astype(target.dtype)
+    dead = z.copy()
+    dead[0, 1] = 1e3  # lamb_0 overflows against beta_0 = 0: inf * 0 makes the
+    dead[0, 1 + d] = 0.0  # logits, and so the likelihood terms, NaN
+    t_live = target.value_and_grad(z, terms=True)[2]
+    t_dead = target.value_and_grad(dead, terms=True)[2]
+    assert np.isnan(t_dead[0, target.dim :]).any()
+    assert target.terms_ratio(t_dead, t_live)[0] == -np.inf
+    assert target.terms_ratio(t_live, t_dead)[0] == np.inf
+    assert target.terms_ratio(t_dead, t_dead)[0] == -np.inf
+
+
+def reference_leapfrog(target, eps, num_steps, z, m, grad, inv_mass):
+    """The integrator before gradient-only steps: value_and_grad at every
+    step, with dead rows evaluated at the origin and masked."""
+    dtype = z.dtype.type
+    half = eps * dtype(0.5)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for _ in range(num_steps):
+            m = m + half * grad
+            z = z + eps * (m if inv_mass is None else m * inv_mass)
+            finite = np.all(np.isfinite(z), axis=1)
+            value, grad = target.value_and_grad(np.where(finite[:, None], z, dtype(0.0)))
+            value = np.where(finite, value, dtype(-np.inf))
+            grad = np.where(finite[:, None], grad, dtype(np.nan))
+            m = m + half * grad
+    return z, m, value, grad
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("with_mass", [False, True])
+def test_trajectory_matches_value_and_grad_at_every_step(precision, with_mass):
+    base, key = small_model(35, precision)
+    target = CountingTarget(base)
+    dtype = base.dtype
+    k_z, k_m = split(key, 2)
+    z0 = (0.4 * np.asarray(normal(k_z, [5, base.dim]))).astype(dtype)
+    m0 = np.asarray(normal(k_m, [5, base.dim])).astype(dtype)
+    m0[2, 0] = 1e4  # chain 2 drifts its scale to exp(1000), then goes non-finite
+    m0[4, -1] = np.inf  # chain 4 has one non-finite coordinate; the whole row is masked
+    _, g0 = base.value_and_grad(z0)
+    inv_mass = None
+    if with_mass:
+        inv_mass = (1.0 / np.linspace(0.5, 2.0, base.dim)).astype(dtype)
+    eps, steps = dtype(0.1), 7
+
+    got = sampler._leapfrog(target, eps, steps, z0, m0, g0, inv_mass)
+    want = reference_leapfrog(base, eps, steps, z0, m0, g0, inv_mass)
+    for a, b in zip(got[:4], want):
+        assert same_bits(a, b)
+    assert target.calls == {"grad": steps - 1, "value_and_grad": 1}
+    z1, value1 = got[0], got[2]
+    for dead in (2, 4):
+        assert not np.all(np.isfinite(z1[dead])) and np.isneginf(value1[dead])
+    assert np.all(np.isfinite(np.delete(z1, [2, 4], axis=0)))
+
+
+def test_stable_ratio_cache_matches_log_prob_ratio(monkeypatch):
+    """Each stable-ratio log accept ratio is bit for bit the kinetic
+    difference plus log_prob_ratio(z1, z_old), over iterations with
+    accepts, rejections and cached terms carried between them."""
+    target, key = small_model(36, "single", rows=120)
+    chains = 20  # two lockstep chunks: 16 + 4
+    k_init, k_run = split(key, 2)
+    z_init = 0.4 * np.asarray(normal(k_init, [chains, target.dim]))
+    batch = ChainBatch.init(target, z_init)
+    assert batch.terms is None
+    cfg = HmcConfig(step_size=0.25, num_leapfrog_steps=3, jitter=True,
+                    precision="single", stable_ratio=True)
+
+    calls = []
+    leapfrog = sampler._leapfrog
+
+    def recording_leapfrog(tgt, eps, num_steps, z, m, grad, inv_mass):
+        out = leapfrog(tgt, eps, num_steps, z, m, grad, inv_mass)
+        calls.append((z, m, out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(sampler, "_leapfrog", recording_leapfrog)
+    steps, jitters = split(k_run, 2)
+    accepted = rejected = 0
+    for t in range(12):
+        calls.clear()
+        keys = [fold_in(fold_in(steps, t), i) for i in range(chains)]
+        batch, out = hmc_step(target, cfg, batch, keys, fold_in(jitters, t))
+        expected = []
+        for z0, m0, z1, m1 in calls:  # one call per chunk, in chain order
+            kin = (0.5 * ((m0 * m0) - (m1 * m1))).sum(axis=1)
+            ok = np.all(np.isfinite(z1), axis=1)
+            ratio = target.log_prob_ratio(np.where(ok[:, None], z1, z0), z0)
+            with np.errstate(invalid="ignore", over="ignore"):
+                r = kin + ratio
+            expected.append(np.where(ok & np.isfinite(r), r, np.float32(-np.inf)))
+        assert same_bits(out.log_accept_ratio, np.concatenate(expected))
+        assert batch.terms is not None and batch.terms.shape[0] == chains
+        batch.check_cache(target)
+        accepted += int(out.is_accepted.sum())
+        rejected += int((~out.is_accepted).sum())
+    assert accepted > 0 and rejected > 0
+
+
+def test_check_cache_catches_stale_terms():
+    target, key = small_model(37)
+    z = 0.3 * np.asarray(normal(key, [4, target.dim]))
+    value, grad, terms = target.value_and_grad(z, terms=True)
+    batch = ChainBatch(z, value, grad, terms)
+    batch.check_cache(target)
+    terms = terms.copy()
+    terms[1, -1] += 1e-3
+    with pytest.raises(AssertionError, match="out of sync"):
+        ChainBatch(z, value, grad, terms).check_cache(target)
+
+
+def test_chees_agrees_between_retentions(tmp_path):
+    args = ["sample", "gaussian:10", "--chains", "16", "--draws", "400",
+            "--warmup", "100", "--seed", "2"]
+    chees = {}
+    for retention in ("full", "moments-only"):
+        out = tmp_path / retention
+        assert main(args + ["--retention", retention, "--output", str(out)]) == 0
+        chees[retention] = json.loads((out / "diagnostics.json").read_text())["chees"]
+    assert chees["moments-only"] == pytest.approx(chees["full"], rel=1e-9, abs=0.0)
