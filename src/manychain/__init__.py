@@ -31,7 +31,19 @@ from .model import (
     replicate_dataset,
     unconstrained_log_prob,
 )
-from .prng import RandomKey, fold_in, key_from_seed, normal, randint, split, uniform
+from .prng import (
+    RandomKey,
+    fold_in,
+    fold_in_each,
+    key_array,
+    key_from_seed,
+    normal,
+    normal_uniform_each,
+    randint,
+    split,
+    split_each,
+    uniform,
+)
 from .sampler import (
     ChainBatch,
     HmcConfig,

@@ -215,11 +215,16 @@ def roundoff_suspicion(log_accept_ratios) -> float:
     r = np.asarray(log_accept_ratios, dtype=np.float64).ravel()
     if r.size == 0:
         raise ValueError("no log accept ratios given")
-    finite = np.isfinite(r)
-    moderate = finite & (np.abs(r) < ROUNDOFF_ABS_LIMIT)
+    return float(roundoff_grid_hits(r) / r.size)
+
+
+def roundoff_grid_hits(log_accept_ratios) -> int:
+    """Number of finite, moderate log accept ratios on the quarter-integer
+    grid: the count roundoff_suspicion divides by the number of ratios."""
+    r = np.asarray(log_accept_ratios, dtype=np.float64).ravel()
+    moderate = np.isfinite(r) & (np.abs(r) < ROUNDOFF_ABS_LIMIT)
     q = 4.0 * r[moderate]
-    on_grid = np.abs(q - np.round(q)) < ROUNDOFF_QUARTER_TOL
-    return float(on_grid.sum() / r.size)
+    return int((np.abs(q - np.round(q)) < ROUNDOFF_QUARTER_TOL).sum())
 
 
 def harmonic_mean_acceptance(probs) -> float:

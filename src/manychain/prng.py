@@ -15,10 +15,24 @@ with domain 0 for draws, 1 for split, 2 for fold_in, 3 for seed expansion.
 Normal variates are produced by inverse-CDF transform of open-interval
 uniforms built from 53 random bits; this choice is fixed so that a given key
 always yields the same bits.
+
+The functions on one RandomKey read numpy's Philox. Each thread reuses one
+Philox whose state is set to the key and counter asked for, which is what a
+freshly constructed one would hold.
+
+Key arrays: a sampler needs the same derivations for every chain at once, so
+fold_in_each, split_each and normal_uniform_each compute them over arrays of
+keys, a (C, 2) uint64 key array holding one key per row as its two Philox key
+words (lo, hi). They run Philox-4x64-10 written in numpy (_philox), a fixed
+number of array operations whatever the number of keys, and give bit for bit
+what the one-key functions give for each row; numpy's Philox is the oracle
+the tests hold them to.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,16 +66,42 @@ class RandomKey:
         return f"RandomKey(0x{self.hi:016x}{self.lo:016x})"
 
 
+class _Streams(threading.local):
+    """This thread's numpy Philox and the Generator reading it. A Philox
+    built for every derivation seeds, and then discards, a SeedSequence from
+    os.urandom even though a key is given; reusing one avoids that."""
+
+    def __init__(self):
+        self.philox = np.random.Philox(0)
+        self.generator = np.random.Generator(self.philox)
+
+
+_streams = _Streams()
+
+
 def _stream(key: RandomKey, domain: int, index: int = 0) -> np.random.Generator:
-    philox = np.random.Philox(
-        key=np.array([key.lo, key.hi], dtype=_U64),
-        counter=np.array([index, 0, domain, 0], dtype=_U64),
-    )
-    return np.random.Generator(philox)
+    """A Generator at the start of key's stream in the given counter domain.
+
+    Every call resets the thread's one Philox to exactly the state a new
+    Philox(key, counter) starts in, so the draws are those of a new one; use
+    the Generator up before the next call on the same thread."""
+    _streams.philox.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([index, 0, domain, 0], dtype=_U64),
+            "key": np.array([key.lo, key.hi], dtype=_U64),
+        },
+        "buffer": np.zeros(4, dtype=_U64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _streams.generator
 
 
 def _draw_words(gen: np.random.Generator, n: int) -> np.ndarray:
-    return gen.integers(0, 2**64, size=n, dtype=_U64, endpoint=False)
+    """The next n raw 64-bit words, the draws of integers(0, 2**64)."""
+    return gen.bit_generator.random_raw(n)
 
 
 def key_from_seed(seed: int) -> RandomKey:
@@ -147,3 +187,134 @@ def randint(key: RandomKey, minval: int, maxval: int, shape=None) -> np.ndarray 
     if shp is None or shp == ():
         return int(gen.integers(minval, maxval))
     return gen.integers(minval, maxval, size=shp)
+
+
+# Philox-4x64 round multipliers and key increments (Weyl constants), one row
+# per multiplied counter word (0 and 2). Constants are arrays because numpy
+# ufuncs dispatch faster on array operands than on numpy scalars.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=_U64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=_U64)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.array(0xFFFFFFFF, dtype=_U64)
+_SHIFT32 = np.array(32, dtype=_U64)
+_SHIFT11 = np.array(11, dtype=_U64)
+_ONE = np.array(1, dtype=_U64)
+_ALL_ONES = np.array(2**64 - 1, dtype=_U64)
+
+
+def _philox(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Philox-4x64-10 blocks over arrays, bit for bit numpy's Philox.
+
+    counter (..., 4) and key (..., 2) are uint64 words in numpy's order and
+    broadcast against each other. As numpy does, each counter is incremented
+    by one, carry included, before it is encrypted, so block i of the result
+    (..., 4) is the first four words Philox(key=key[i], counter=counter[i])
+    hands out.
+    """
+    shape = np.broadcast(counter[..., 0], key[..., 0]).shape
+    n = math.prod(shape)
+    # word-major copies (4, n) and (2, n): each word is one contiguous row
+    ctr = np.empty((4,) + shape, dtype=_U64)
+    for j in range(4):
+        ctr[j] = counter[..., j]
+    k = np.empty((2,) + shape, dtype=_U64)
+    for j in range(2):
+        k[j] = key[..., j]
+    ctr, k = ctr.reshape(4, n), k.reshape(2, n)
+    # the increment carries into a word when every word below it is all ones
+    carry = np.logical_and.accumulate(ctr[:3] == _ALL_ONES, axis=0)
+    ctr[0] += _ONE
+    ctr[1:] += carry
+    # full-size constants keep numpy on its contiguous loops
+    m = np.empty((2, n), dtype=_U64)
+    m[...] = _PHILOX_M
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    w = np.empty((2, n), dtype=_U64)
+    w[...] = _PHILOX_W
+    a, b = ctr[0::2], ctr[1::2]  # words (0, 2), multiplied, and (1, 3)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k += w
+        # the 128-bit product a * m from 32-bit limbs; no partial sum overflows
+        x_lo, x_hi = a & _LOW32, a >> _SHIFT32
+        mid = x_lo * m_lo
+        mid >>= _SHIFT32
+        mid += x_lo * m_hi
+        mid2 = x_hi * m_lo
+        mid2 += mid & _LOW32
+        hi = x_hi * m_hi
+        hi += mid >> _SHIFT32
+        hi += mid2 >> _SHIFT32
+        lo = a * m
+        # words 0 and 2 take the high halves of the products of words 2 and
+        # 0, words 1 and 3 the low halves
+        a = np.bitwise_xor(hi[::-1], b)
+        a ^= k
+        b = lo[::-1]
+    out = np.empty((n, 4), dtype=_U64)
+    out[:, 0::2] = a.T
+    out[:, 1::2] = b.T
+    return out.reshape(shape + (4,))
+
+
+def _counters(blocks: int, domain: int) -> np.ndarray:
+    """Counters [b, 0, domain, 0] for b < blocks: the blocks a stream
+    starting at [0, 0, domain, 0] hands out first."""
+    counter = np.zeros((blocks, 4), dtype=_U64)
+    counter[:, 0] = np.arange(blocks)
+    counter[:, 2] = domain
+    return counter
+
+
+def key_array(keys) -> np.ndarray:
+    """(C, 2) uint64 key array: one key per row as its Philox key words
+    (lo, hi). Takes a sequence of RandomKey, or a key array, which is checked
+    and passed through."""
+    if isinstance(keys, np.ndarray):
+        if keys.dtype != _U64 or keys.ndim != 2 or keys.shape[1] != 2:
+            raise ValueError(f"a key array is (C, 2) uint64, got {keys.dtype} {keys.shape}")
+        return keys
+    return np.array([(k.lo, k.hi) for k in keys], dtype=_U64).reshape(-1, 2)
+
+
+def fold_in_each(key: RandomKey, indices) -> np.ndarray:
+    """Key array whose row i is fold_in(key, indices[i])."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise TypeError(f"indices must be a 1-D integer array, got {idx.dtype} {idx.shape}")
+    if idx.dtype.kind == "i" and idx.size and idx.min() < 0:
+        raise ValueError(f"fold_in indices must be in [0, 2**64), got {idx.min()}")
+    counter = np.zeros((idx.size, 4), dtype=_U64)
+    counter[:, 0] = idx
+    counter[:, 2] = _DOMAIN_FOLD
+    return _philox(counter, np.array([key.lo, key.hi], dtype=_U64))[:, :2]
+
+
+def split_each(keys, n: int) -> np.ndarray:
+    """(C, n, 2) key array whose row i holds split(k, n) of key i of keys."""
+    if n < 1:
+        raise ValueError(f"split needs n >= 1, got {n}")
+    keys = key_array(keys)
+    blocks = (n + 1) // 2  # two child keys per block
+    words = _philox(_counters(blocks, _DOMAIN_SPLIT), keys[:, None, :])
+    return words.reshape(len(keys), 2 * blocks, 2)[:, :n]
+
+
+def normal_uniform_each(normal_keys, uniform_keys, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """normal(normal_keys[i], [size]) and uniform(uniform_keys[i]) for every
+    row i, from one cipher call over the normal blocks and the uniform block.
+    Returns float64 arrays (C, size) and (C,)."""
+    nk, uk = key_array(normal_keys), key_array(uniform_keys)
+    if nk.shape != uk.shape:
+        raise ValueError(f"normal and uniform key arrays differ: {nk.shape} vs {uk.shape}")
+    if size < 0:
+        raise ValueError(f"size must be >= 0, got {size}")
+    c = len(nk)
+    blocks = -(-size // 4)  # four normals per block
+    keys = np.concatenate([np.broadcast_to(nk[:, None], (c, blocks, 2)), uk[:, None]], axis=1)
+    counter = _counters(blocks + 1, _DOMAIN_DRAW)
+    counter[blocks, 0] = 0  # the uniform's stream starts at block 0 too
+    # the top 53 bits of every word, as normal() and uniform() draw them
+    bits = (_philox(counter, keys) >> _SHIFT11).astype(np.float64)
+    normals = ndtri((bits[:, :blocks].reshape(c, 4 * blocks)[:, :size] + 0.5) / _TWO53)
+    return normals, bits[:, blocks, 0] * (1.0 / _TWO53)

@@ -10,10 +10,15 @@ hmc_step hard-fails if it is handed per-chain lengths that disagree.
 
 Randomness per iteration: the iteration's step key is folded with each
 chain index to give per-chain keys (momentum + accept draw), while the
-jitter key is used whole. Runs are bitwise reproducible from (seed, config):
-chains are processed in fixed chunks whose layout does not depend on the
-worker count, and every cross-chain reduction happens in the coordinator in
-a fixed order, so --threads N reproduces --threads 1 exactly.
+jitter key is used whole. The per-chain keys travel as one (C, 2) key array
+(prng.key_array). The fold-in, the split of each chain's key and the
+chain's momentum and accept draws are three array calls for all chains
+together, and give the bits the one-key prng functions give.
+
+Runs are bitwise reproducible from (seed, config): chains are processed in
+fixed chunks whose layout does not depend on the worker count, and every
+cross-chain reduction happens in the coordinator in a fixed order, so
+--threads N reproduces --threads 1 exactly.
 
 Interior leapfrog steps evaluate only the gradient; the density value, and
 the per-term pieces the stable ratio differences, are evaluated once per
@@ -33,7 +38,15 @@ from time import perf_counter
 import numpy as np
 
 from . import diagnostics as diag
-from .prng import RandomKey, fold_in, normal, randint, split, uniform
+from .prng import (
+    RandomKey,
+    fold_in_each,
+    key_array,
+    normal_uniform_each,
+    randint,
+    split,
+    split_each,
+)
 
 # chains per execution chunk; fixed so results never depend on worker count
 LOCKSTEP_CHUNK = 16
@@ -211,6 +224,18 @@ def _chunk_ranges(num_chains: int):
     ]
 
 
+def _chain_draws(step_keys: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Momentum normals (C, p) and log accept uniforms (C,), float64: for
+    (mk, uk) = split(k, 2) of chain key k, normal(mk, [p]) and
+    log(uniform(uk)), -inf for a zero uniform."""
+    kids = split_each(step_keys, 2)
+    normals, u = normal_uniform_each(kids[:, 0], kids[:, 1], p)
+    # math.log, as the accept test has always used: numpy's vectorised log
+    # differs from it in the last bit for some arguments
+    log_u = np.array([math.log(x) if x > 0.0 else -math.inf for x in u.tolist()])
+    return normals, log_u
+
+
 def hmc_step(
     target,
     config: HmcConfig,
@@ -222,13 +247,16 @@ def hmc_step(
 ) -> tuple[ChainBatch, StepOutput]:
     """Advance every chain by one jittered HMC iteration.
 
-    step_keys is one RandomKey per chain (momentum and accept draws);
-    jitter_key is a single shared key from the separate jitter stream.
+    step_keys holds one key per chain (momentum and accept draws), as a
+    (C, 2) key array (prng.key_array) or a sequence of RandomKey, which is
+    converted to one; jitter_key is a single shared key from the separate
+    jitter stream.
     length_fn is a test hook replacing the trajectory-length draw; if it
     hands back per-chain lengths that are not all equal the step raises
     LockstepViolationError instead of silently desynchronizing the batch.
     """
     c, p = batch.z.shape
+    step_keys = key_array(step_keys)
     if len(step_keys) != c:
         raise ValueError(f"need {c} per-chain keys, got {len(step_keys)}")
     if config.precision != target.precision:
@@ -258,13 +286,8 @@ def hmc_step(
     inv_mass = None if mass is None else (1.0 / mass).astype(dtype)
     sqrt_mass = None if mass is None else np.sqrt(mass).astype(dtype)
 
-    m0 = np.empty((c, p), dtype=dtype)
-    log_u = np.empty(c, dtype=np.float64)
-    for i, kc in enumerate(step_keys):
-        mk, uk = split(kc, 2)
-        m0[i] = normal(mk, [p])
-        u = uniform(uk)
-        log_u[i] = math.log(u) if u > 0.0 else -np.inf
+    normals, log_u = _chain_draws(step_keys, p)
+    m0 = normals.astype(dtype, copy=False)
     if sqrt_mass is not None:
         m0 = m0 * sqrt_mass
 
@@ -478,10 +501,7 @@ class MomentsSink:
         self._step_hm_sum += diag.harmonic_mean_acceptance(diag.accept_probs_from_ratios(r))
         self._step_count += 1
         self._ratio_count += r.size
-        finite = np.isfinite(r)
-        moderate = finite & (np.abs(r) < diag.ROUNDOFF_ABS_LIMIT)
-        q = 4.0 * r[moderate]
-        self._flag_count += int((np.abs(q - np.round(q)) < diag.ROUNDOFF_QUARTER_TOL).sum())
+        self._flag_count += diag.roundoff_grid_hits(r)
 
     @property
     def num_recorded(self) -> int:
@@ -544,10 +564,11 @@ def run_chains(
         sample_root, jitter_root = split(root_key, 2)
         step_stream = split(sample_root, num_steps)
         jitter_stream = split(jitter_root, num_steps)
+        chain_ids = np.arange(c)
         pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
         try:
             for t in range(num_steps):
-                per_chain = [fold_in(step_stream[t], i) for i in range(c)]
+                per_chain = fold_in_each(step_stream[t], chain_ids)
                 batch, out = hmc_step(
                     target, config, batch, per_chain, jitter_stream[t], pool=pool
                 )
@@ -613,9 +634,10 @@ def warmup_adapt(
             hm = 0.0
             step_stream, jitter_stream = (split(k, steps) for k in split(key, 2))
             eps = cfg.step_size
+            chain_ids = np.arange(batch.num_chains)
             for t in range(steps):
                 live = replace(cfg, step_size=eps)
-                per_chain = [fold_in(step_stream[t], i) for i in range(batch.num_chains)]
+                per_chain = fold_in_each(step_stream[t], chain_ids)
                 batch, out = hmc_step(
                     target, live, batch, per_chain, jitter_stream[t], pool=pool
                 )

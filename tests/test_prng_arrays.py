@@ -1,0 +1,304 @@
+"""Array key derivations checked bit for bit against numpy's Philox.
+
+fold_in_each, split_each and normal_uniform_each, and the Philox-4x64-10
+under them, must give for every row what the one-key functions give, and
+those must give what a freshly built numpy Philox gives. The sampler's
+per-chain draws are checked against the per-chain loop they replace, and
+whole runs against changes of thread count, chunk size and chain count.
+"""
+
+import functools
+import math
+import sys
+import tempfile
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
+
+import manychain.sampler as sampler
+from manychain.cli import main
+from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
+from manychain.prng import (
+    RandomKey,
+    _philox,
+    fold_in,
+    fold_in_each,
+    key_array,
+    key_from_seed,
+    normal,
+    normal_uniform_each,
+    randint,
+    split,
+    split_each,
+    uniform,
+)
+from manychain.sampler import ChainBatch, HmcConfig, TraceSink, hmc_step, run_chains
+
+U64 = np.uint64
+ALL_ONES = 2**64 - 1
+CHAIN_COUNTS = [1, 5, 16, 17, 256]
+EDGE_KEYS = [
+    RandomKey(ALL_ONES, ALL_ONES),
+    RandomKey(ALL_ONES, 0),
+    RandomKey(0, ALL_ONES),
+    RandomKey(0, 0),
+]
+
+
+def fresh_generator(key, counter):
+    """A newly constructed numpy Philox, the oracle for every derivation."""
+    philox = np.random.Philox(key=np.array([key.lo, key.hi], dtype=U64),
+                              counter=np.array(counter, dtype=U64))
+    return np.random.Generator(philox)
+
+
+def normal_from_bits(k):
+    """normal()'s transform of 53-bit integers k, as it is documented."""
+    return ndtri((k.astype(np.float64) + 0.5) / 2**53)
+
+
+def as_random_keys(keys):
+    return [RandomKey(int(hi), int(lo)) for lo, hi in keys]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_philox_blocks_match_numpy_with_carries():
+    rng = np.random.default_rng(0)
+    counters = rng.integers(0, 2**64, size=(40, 4), dtype=U64)
+    # all-ones low words make the increment carry one, two, three words up,
+    # and an all-ones counter wraps to zero
+    for i, ones in enumerate([1, 2, 3, 4] * 5):
+        counters[i, :ones] = ALL_ONES
+    keys = rng.integers(0, 2**64, size=(40, 2), dtype=U64)
+    keys[::3] = ALL_ONES
+    keys[1::7, 0] = 0
+    blocks = _philox(counters, keys)
+    assert blocks.shape == (40, 4) and blocks.dtype == U64
+    for c, k, got in zip(counters, keys, blocks):
+        want = np.random.Philox(key=k, counter=c).random_raw(4)
+        assert same_bits(got, want)
+
+
+def test_philox_broadcasts_counters_against_keys():
+    rng = np.random.default_rng(1)
+    counters = rng.integers(0, 2**64, size=(3, 1, 4), dtype=U64)
+    keys = rng.integers(0, 2**64, size=(1, 5, 2), dtype=U64)
+    blocks = _philox(counters, keys)
+    assert blocks.shape == (3, 5, 4)
+    for i in range(3):
+        for j in range(5):
+            assert same_bits(blocks[i, j], _philox(counters[i, 0], keys[0, j]))
+            want = np.random.Philox(key=keys[0, j], counter=counters[i, 0]).random_raw(4)
+            assert same_bits(blocks[i, j], want)
+
+
+@pytest.mark.parametrize("key", [key_from_seed(3)] + EDGE_KEYS, ids=repr)
+def test_one_key_functions_match_a_fresh_philox(key):
+    """The reused per-thread Philox gives what a newly built one gives, in
+    each counter domain: 0 draws, 1 split, 2 fold_in, 3 seed expansion."""
+    words = fresh_generator(key, [0, 0, 1, 0]).integers(0, 2**64, size=6, dtype=U64)
+    assert as_random_keys(words.reshape(3, 2)) == split(key, 3)
+    for index in (0, 7, ALL_ONES):
+        lo, hi = fresh_generator(key, [index, 0, 2, 0]).integers(0, 2**64, size=2, dtype=U64)
+        assert fold_in(key, index) == RandomKey(int(hi), int(lo))
+    assert same_bits(uniform(key, 9), fresh_generator(key, [0, 0, 0, 0]).random(9))
+    assert uniform(key) == fresh_generator(key, [0, 0, 0, 0]).random()
+    k = fresh_generator(key, [0, 0, 0, 0]).integers(0, 2**53, size=7, dtype=U64)
+    assert same_bits(normal(key, 7), normal_from_bits(k))
+    assert same_bits(randint(key, 2, 9, 11), fresh_generator(key, [0, 0, 0, 0]).integers(2, 9, 11))
+    # a scalar randint leaves half a word buffered; the next call must not see it
+    first = randint(key, 0, 1000)
+    assert randint(key, 0, 1000) == first
+    assert first == int(fresh_generator(key, [0, 0, 0, 0]).integers(0, 1000))
+    seed = key.lo
+    lo, hi = fresh_generator(RandomKey(0x9E3779B97F4A7C15, seed), [0, 0, 3, 0]).integers(
+        0, 2**64, size=2, dtype=U64)
+    assert key_from_seed(seed) == RandomKey(int(hi), int(lo))
+
+
+def test_one_key_functions_are_per_thread():
+    """Threads deriving keys at once each get the sequential answers."""
+    roots = [key_from_seed(s) for s in range(6)]
+    want = {r: ([fold_in(r, i) for i in range(40)], split(r, 5), normal(r, 3).tobytes())
+            for r in roots}
+    got, errors = {}, []
+
+    def work(r):
+        try:
+            for _ in range(20):
+                got[r] = ([fold_in(r, i) for i in range(40)], split(r, 5), normal(r, 3).tobytes())
+                assert got[r] == want[r]
+        except Exception as exc:  # recorded and asserted on below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(r,)) for r in roots]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and got == want
+
+
+@pytest.mark.parametrize("chains", CHAIN_COUNTS)
+@pytest.mark.parametrize("key", [key_from_seed(5)] + EDGE_KEYS, ids=repr)
+def test_fold_in_each_matches_fold_in(key, chains):
+    keys = fold_in_each(key, np.arange(chains))
+    assert keys.shape == (chains, 2) and keys.dtype == U64
+    assert as_random_keys(keys) == [fold_in(key, i) for i in range(chains)]
+
+
+@pytest.mark.parametrize("key", [key_from_seed(6)] + EDGE_KEYS, ids=repr)
+def test_fold_in_each_carries_past_the_last_index(key):
+    """fold_in(key, 2**64 - 1) reads counter [2**64 - 1, 0, 2, 0], which the
+    increment before encryption carries to [0, 1, 2, 0]."""
+    indices = np.array([ALL_ONES, ALL_ONES - 1, 0, 2**63], dtype=U64)
+    got = as_random_keys(fold_in_each(key, indices))
+    assert got == [fold_in(key, int(i)) for i in indices]
+    assert got[0] != got[2]
+
+
+@pytest.mark.parametrize("chains", CHAIN_COUNTS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_split_each_matches_split(chains, n):
+    parents = fold_in_each(key_from_seed(7), np.arange(chains))
+    parents[0] = ALL_ONES
+    kids = split_each(parents, n)
+    assert kids.shape == (chains, n, 2)
+    for parent, row in zip(as_random_keys(parents), kids):
+        assert as_random_keys(row) == split(parent, n)
+
+
+@pytest.mark.parametrize("chains", CHAIN_COUNTS)
+@pytest.mark.parametrize("size", [1, 3, 4, 5, 24])
+def test_normal_uniform_each_matches_normal_and_uniform(chains, size):
+    kids = split_each(fold_in_each(key_from_seed(8), np.arange(chains)), 2)
+    kids[-1, 1] = ALL_ONES
+    normals, uniforms = normal_uniform_each(kids[:, 0], kids[:, 1], size)
+    assert normals.shape == (chains, size) and uniforms.shape == (chains,)
+    for i, (mk, uk) in enumerate(zip(as_random_keys(kids[:, 0]), as_random_keys(kids[:, 1]))):
+        assert same_bits(normals[i], normal(mk, [size]))
+        assert same_bits(uniforms[i], np.float64(uniform(uk)))
+
+
+def test_key_array_round_trips_and_rejects_bad_arrays():
+    keys = [key_from_seed(s) for s in range(4)]
+    arr = key_array(keys)
+    assert arr.dtype == U64 and arr.shape == (4, 2)
+    assert as_random_keys(arr) == keys
+    assert key_array(arr) is arr
+    assert key_array([]).shape == (0, 2)
+    for bad in (arr.astype(np.int64), arr[:, :1], arr[None]):
+        with pytest.raises(ValueError):
+            key_array(bad)
+    with pytest.raises(ValueError):
+        fold_in_each(keys[0], [-1, 2])
+    with pytest.raises(TypeError):
+        fold_in_each(keys[0], [0.5])
+    with pytest.raises(ValueError):
+        split_each(arr, 0)
+    with pytest.raises(ValueError):
+        normal_uniform_each(arr, arr[:3], 2)
+
+
+def test_chain_draws_match_the_per_chain_loop():
+    """sampler._chain_draws against the loop it replaces: per chain, split
+    the key, draw normals, draw a uniform and take math.log of it."""
+    chains = 20_000
+    keys = fold_in_each(key_from_seed(9), np.arange(chains))
+    normals, log_u = sampler._chain_draws(keys, 2)
+    want_normals = np.empty((chains, 2))
+    uniforms = np.empty(chains)
+    for i, kc in enumerate(as_random_keys(keys)):
+        mk, uk = split(kc, 2)
+        want_normals[i] = normal(mk, [2])
+        uniforms[i] = uniform(uk)
+    want_log_u = np.array([math.log(u) if u > 0.0 else -np.inf for u in uniforms])
+    assert same_bits(normals, want_normals)
+    assert same_bits(log_u, want_log_u)
+    # np.log rounds some of these differently, so the check has teeth
+    assert (np.log(uniforms) != want_log_u).any()
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("stable", [False, True])
+def test_hmc_step_takes_key_arrays_and_lists_alike(precision, stable):
+    k_data, k_rest = split(key_from_seed(10), 2)
+    target = ModelTarget(generate_synthetic(k_data, 60, 3, 0.5), precision=precision)
+    k_init, k_step, k_jitter = split(k_rest, 3)
+    z = 0.3 * np.asarray(normal(k_init, [19, target.dim]))
+    mass = np.linspace(0.5, 2.0, target.dim)
+    cfg = HmcConfig(step_size=0.2, num_leapfrog_steps=3, precision=precision,
+                    mass_diag=mass, stable_ratio=stable)
+    keys = fold_in_each(k_step, np.arange(19))
+    batch = ChainBatch.init(target, z)
+    b_arr, out_arr = hmc_step(target, cfg, batch, keys, k_jitter)
+    b_list, out_list = hmc_step(target, cfg, batch, as_random_keys(keys), k_jitter)
+    for field in ("z", "is_accepted", "log_accept_ratio"):
+        assert same_bits(getattr(out_arr, field), getattr(out_list, field))
+    assert out_arr.num_leapfrog_used == out_list.num_leapfrog_used
+    for field in ("z", "value", "grad", "terms"):
+        assert same_bits(getattr(b_arr, field), getattr(b_list, field))
+    assert out_arr.is_accepted.any() and not out_arr.is_accepted.all()
+    with pytest.raises(ValueError, match="per-chain keys"):
+        hmc_step(target, cfg, batch, keys[:18], k_jitter)
+
+
+def gaussian_trace(chains, chunk=sampler.LOCKSTEP_CHUNK, threads=1):
+    target = GaussianTarget(3)
+    cfg = HmcConfig(step_size=0.4, num_leapfrog_steps=3)
+    z0 = np.asarray(normal(key_from_seed(12), [chains, 3]))
+    sink = TraceSink()
+    saved = sampler.LOCKSTEP_CHUNK
+    sampler.LOCKSTEP_CHUNK = chunk
+    try:
+        run_chains(target, cfg, z0, key_from_seed(13), 5, sink=sink, threads=threads)
+    finally:
+        sampler.LOCKSTEP_CHUNK = saved
+    return sink.z_trace(), sink.log_accept_ratios()
+
+
+@functools.cache
+def forty_chains():
+    return gaussian_trace(40)
+
+
+@given(chains=st.integers(1, 40), chunk=st.integers(1, 40), threads=st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_chains_do_not_depend_on_chunking_threads_or_chain_count(chains, chunk, threads):
+    """On a target whose chains do not interact, chain i's draws are the
+    same whatever the chunk size, the thread count, and how many chains run
+    beside it: its keys are fold_in(step key, i) in every layout."""
+    z, ratios = gaussian_trace(chains, chunk, threads)
+    z_all, ratios_all = forty_chains()
+    assert same_bits(z, z_all[:, :chains])
+    assert same_bits(ratios, ratios_all[:, :chains])
+
+
+@given(chains=st.integers(1, 40))
+@settings(max_examples=10, deadline=None)
+def test_sample_threads_1_and_2_write_the_same_bytes(chains):
+    args = ["sample", "synthetic:60,3,0.5", "--chains", str(chains), "--draws", "8",
+            "--warmup", "15", "--leapfrog-steps", "3", "--step-size", "0.1", "--seed", "14"]
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = []
+        for threads in ("1", "2"):
+            out = Path(tmp) / threads
+            assert main(args + ["--threads", threads, "--output", str(out)]) == 0
+            outs.append(out)
+        for name in ("trace.csv", "diagnostics.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
