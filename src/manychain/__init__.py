@@ -27,9 +27,7 @@ from .model import (
     generate_synthetic,
     joint_log_prob,
     load_csv_dataset,
-    log_prob_ratio,
     replicate_dataset,
-    unconstrained_log_prob,
 )
 from .prng import (
     RandomKey,

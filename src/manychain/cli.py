@@ -42,6 +42,7 @@ from .sampler import (
     MomentsSink,
     TraceSink,
     leapfrog_step,
+    log_uniforms,
     run_chains,
     warmup_adapt,
 )
@@ -363,7 +364,7 @@ def _demo_mass(target: ModelTarget) -> np.ndarray:
     the scale gradient, which is a representation problem both ratio paths
     share and neither can fix."""
     d = target.num_features
-    x2 = np.square(target._x.astype(np.float64)).sum(axis=0)  # (D,)
+    x2 = np.square(target.dataset.x).sum(axis=0)  # (D,)
     mass = np.full(target.dim, _DEMO_PIN_MASS)
     mass[1 + d :] = 0.25 * x2 + 1.0
     return mass
@@ -442,7 +443,7 @@ def cmd_precision_demo(args) -> int:
             stable.append(np.where(ok, np.float64(r_stable), neg_inf))
             oracle.append(np.where(ok, r_oracle, neg_inf))
             # advance by the oracle rule so all three see identical transitions
-            log_u = np.log(np.asarray(uniform(u_keys[t], [c])))
+            log_u = log_uniforms(uniform(u_keys[t], [c]))
             accept = ok & np.isfinite(r_oracle) & (log_u < r_oracle)
             z = np.where(accept[:, None], zc, z)
             value, grad = t32.value_and_grad(z)

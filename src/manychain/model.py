@@ -12,8 +12,9 @@ u_tau + sum(u_lamb) folded into the unconstrained density.
 
 All density code is batched: a state is either a (P,) vector or a (C, P)
 matrix of C chain states, and results come back scalar or (C,) to match.
-Bernoulli terms are always evaluated in logit space through the stable
-softplus -logaddexp(0, -sign * logit), never through probabilities.
+Bernoulli terms take the margin m = sign * logit (sign = 2y - 1), one matmul
+per evaluation: log p(y | logit) = min(m, 0) - log1p(exp(-|m|)), and the
+gradient residual y - sigmoid(logit) = sign / (1 + exp(m)).
 
 log_prob_ratio computes log p(z_new) - log p(z_old) by differencing the two
 states per prior term and per observation BEFORE summing. In single
@@ -221,9 +222,14 @@ def _as_batch(z) -> tuple[np.ndarray, bool]:
     raise ValueError(f"state must be 1- or 2-dimensional, got shape {z.shape}")
 
 
-def _bernoulli_terms(logits, sign):
-    # log p(y | logit) in logit space, branch-free: -softplus(-sign*logit).
-    return -np.logaddexp(np.zeros((), dtype=logits.dtype), -sign * logits)
+def _bernoulli_terms(margins):
+    """log p(y | logit) at margins m = sign * logit: <= 0, NaN only for NaN m."""
+    return np.minimum(margins, 0) - np.log1p(np.exp(-np.abs(margins)))
+
+
+def _sign_residuals(margins):
+    """sign * (y - sigmoid(logit)), exactly 0 where exp(m) overflows."""
+    return 1 / (1 + np.exp(margins))
 
 
 class ModelTarget:
@@ -249,9 +255,10 @@ class ModelTarget:
         self.prior_gamma_rate = float(prior_gamma_rate)
         self.precision = precision
         self.dtype = np.float32 if precision == "single" else np.float64
-        self._x = np.ascontiguousarray(dataset.x, dtype=self.dtype)
-        self._sign = np.ascontiguousarray(2.0 * dataset.y - 1.0, dtype=self.dtype)
-        self._y = np.ascontiguousarray(dataset.y, dtype=self.dtype)
+        # rows of x times sign = 2y - 1 (exact), so one matmul gives margins
+        self._xs = np.ascontiguousarray(
+            dataset.x * (2.0 * dataset.y - 1.0)[:, None], dtype=self.dtype
+        )
         # log normalizer of the Gamma prior, one rounding into working dtype
         self._gamma_const = self.dtype(
             prior_gamma_shape * math.log(prior_gamma_rate) - gammaln(prior_gamma_shape)
@@ -276,16 +283,17 @@ class ModelTarget:
             raise ValueError(f"state must have {self.dim} entries, got {zb.shape[1]}")
         return zb[:, 0], zb[:, 1 : 1 + d], zb[:, 1 + d :]
 
-    def _logits(self, zb):
+    def _margins(self, zb):
+        """(C, N) margins for the terms and the gradient, scale, coefs."""
         u_tau, u_lamb, beta = self._split_state(zb)
         # overflow to inf is fine: an overflowed scale is dead by prior and
         # the caller masks the whole state
         with np.errstate(over="ignore", invalid="ignore"):
             scale = np.exp(u_tau[:, None] + u_lamb)  # tau * lamb in one exp
             coefs = scale * beta
-            return coefs @ self._x.T, scale, coefs
+            return coefs @ self._xs.T, scale, coefs
 
-    def _terms(self, zb, logits):
+    def _terms(self, zb, margins):
         """Every additive piece of the log density, one row per state:
         [t_tau, t_lamb (D), t_beta (D), t_obs (N)], so (C, P + N).
 
@@ -300,7 +308,7 @@ class ModelTarget:
             t_tau = self._gamma_const + a * u_tau - r * np.exp(u_tau)
             t_lamb = self._gamma_const + a * u_lamb - r * np.exp(u_lamb)
             t_beta = self._normal_const - self.dtype(0.5) * beta * beta
-            t_obs = _bernoulli_terms(logits, self._sign)
+            t_obs = _bernoulli_terms(margins)
         return np.concatenate([t_tau[:, None], t_lamb, t_beta, t_obs], axis=1)
 
     def _prior_scale_sum(self, terms):
@@ -313,15 +321,14 @@ class ModelTarget:
         # a scale that overflowed exp() is dead by prior; never report NaN
         return np.where(np.isfinite(prior), total, self.dtype(-np.inf))
 
-    def _grad(self, zb, logits, scale, coefs):
+    def _grad(self, zb, margins, scale, coefs):
         """The analytic gradient, the one copy grad and value_and_grad share."""
         u_tau, u_lamb, beta = self._split_state(zb)
         d = self.num_features
         a = self.dtype(self.prior_gamma_shape)
         r = self.dtype(self.prior_gamma_rate)
         with np.errstate(over="ignore", invalid="ignore"):
-            resid = self._y - expit(logits)  # (C, N)
-            g = resid @ self._x  # (C, D)
+            g = _sign_residuals(margins) @ self._xs  # (C, D)
             grad = np.empty_like(zb)
             grad[:, 0] = (a - r * np.exp(u_tau)) + (coefs * g).sum(axis=1)
             grad[:, 1 : 1 + d] = (a - r * np.exp(u_lamb)) + coefs * g
@@ -331,7 +338,7 @@ class ModelTarget:
     def log_prob(self, z):
         """Unconstrained log density (prior + likelihood + log-det-Jacobian)."""
         zb, single = self._prepare(z)
-        out = self._value(self._terms(zb, self._logits(zb)[0]))
+        out = self._value(self._terms(zb, self._margins(zb)[0]))
         return out[0] if single else out
 
     def grad(self, z):
@@ -341,7 +348,7 @@ class ModelTarget:
         value, which is why interior leapfrog steps call this.
         """
         zb, single = self._prepare(z)
-        grad = self._grad(zb, *self._logits(zb))
+        grad = self._grad(zb, *self._margins(zb))
         return grad[0] if single else grad
 
     def value_and_grad(self, z, terms=False):
@@ -353,9 +360,9 @@ class ModelTarget:
         terms_ratio.
         """
         zb, single = self._prepare(z)
-        logits, scale, coefs = self._logits(zb)
-        t = self._terms(zb, logits)
-        out = (self._value(t), self._grad(zb, logits, scale, coefs)) + ((t,) if terms else ())
+        margins, scale, coefs = self._margins(zb)
+        t = self._terms(zb, margins)
+        out = (self._value(t), self._grad(zb, margins, scale, coefs)) + ((t,) if terms else ())
         return tuple(a[0] for a in out) if single else out
 
     def log_prob_ratio(self, z_new, z_old):
@@ -371,7 +378,7 @@ class ModelTarget:
         if zn.shape != zo.shape:
             raise ValueError(f"state shapes differ: {zn.shape} vs {zo.shape}")
         ratio = self.terms_ratio(
-            self._terms(zn, self._logits(zn)[0]), self._terms(zo, self._logits(zo)[0])
+            self._terms(zn, self._margins(zn)[0]), self._terms(zo, self._margins(zo)[0])
         )
         return ratio[0] if (single_n and single_o) else ratio
 
@@ -424,19 +431,9 @@ def joint_log_prob(target: ModelTarget, params: ConstrainedParams):
     t_lamb = target._gamma_const + (a - one) * np.log(lamb) - r * lamb
     t_beta = target._normal_const - target.dtype(0.5) * beta * beta
     coefs = tau[:, None] * lamb * beta
-    logits = coefs @ target._x.T
-    t_obs = _bernoulli_terms(logits, target._sign)
+    t_obs = _bernoulli_terms(coefs @ target._xs.T)
     total = t_tau + t_lamb.sum(axis=1) + t_beta.sum(axis=1) + t_obs.sum(axis=1)
     return total[0] if single else total
-
-
-def unconstrained_log_prob(target: ModelTarget, z):
-    """Density actually sampled: joint at constrain(z) plus log-det-Jacobian."""
-    return target.log_prob(z)
-
-
-def log_prob_ratio(target: ModelTarget, z_new, z_old):
-    return target.log_prob_ratio(z_new, z_old)
 
 
 class GaussianTarget:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -149,6 +150,11 @@ class StepOutput:
     log_accept_ratio: np.ndarray  # (C,)
     num_leapfrog_used: int
 
+    @cached_property
+    def harmonic_accept(self) -> float:
+        """Harmonic mean accept probability, computed once per iteration."""
+        return diag.harmonic_mean_acceptance(diag.accept_probs_from_ratios(self.log_accept_ratio))
+
 
 def leapfrog_step(target, step_size, z, m, grad, mass_diag=None, num_steps=1):
     """num_steps leapfrog updates, each a half momentum kick, a position
@@ -230,10 +236,12 @@ def _chain_draws(step_keys: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]
     log(uniform(uk)), -inf for a zero uniform."""
     kids = split_each(step_keys, 2)
     normals, u = normal_uniform_each(kids[:, 0], kids[:, 1], p)
-    # math.log, as the accept test has always used: numpy's vectorised log
-    # differs from it in the last bit for some arguments
-    log_u = np.array([math.log(x) if x > 0.0 else -math.inf for x in u.tolist()])
-    return normals, log_u
+    return normals, log_uniforms(u)
+
+
+def log_uniforms(u) -> np.ndarray:
+    """The accept test's math.log of uniforms (np.log differs in the last bit), -inf at 0."""
+    return np.array([math.log(x) if x > 0.0 else -math.inf for x in np.asarray(u).tolist()])
 
 
 def hmc_step(
@@ -497,11 +505,10 @@ class MomentsSink:
         self.moments = diag.welford_update(self.moments, z)
         self._prev = z
 
-        r = np.asarray(out.log_accept_ratio, dtype=np.float64)
-        self._step_hm_sum += diag.harmonic_mean_acceptance(diag.accept_probs_from_ratios(r))
+        self._step_hm_sum += out.harmonic_accept
         self._step_count += 1
-        self._ratio_count += r.size
-        self._flag_count += diag.roundoff_grid_hits(r)
+        self._ratio_count += out.log_accept_ratio.size
+        self._flag_count += diag.roundoff_grid_hits(out.log_accept_ratio)
 
     @property
     def num_recorded(self) -> int:
@@ -575,9 +582,7 @@ def run_chains(
                 if sink is not None:
                     sink.record(out)
                 accept_total += int(out.is_accepted.sum())
-                step_hm_sum += diag.harmonic_mean_acceptance(
-                    diag.accept_probs_from_ratios(out.log_accept_ratio)
-                )
+                step_hm_sum += out.harmonic_accept
                 total_leapfrogs += out.num_leapfrog_used
         finally:
             if pool is not None:
@@ -629,27 +634,26 @@ def warmup_adapt(
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         def phase(key, steps, cfg, adapt_eps, collect):
+            # cfg is this phase's own copy, so its step size adapts in place
             nonlocal batch
             moments = None
-            hm = 0.0
             step_stream, jitter_stream = (split(k, steps) for k in split(key, 2))
-            eps = cfg.step_size
             chain_ids = np.arange(batch.num_chains)
             for t in range(steps):
-                live = replace(cfg, step_size=eps)
                 per_chain = fold_in_each(step_stream[t], chain_ids)
                 batch, out = hmc_step(
-                    target, live, batch, per_chain, jitter_stream[t], pool=pool
+                    target, cfg, batch, per_chain, jitter_stream[t], pool=pool
                 )
-                probs = diag.accept_probs_from_ratios(out.log_accept_ratio)
-                hm = diag.harmonic_mean_acceptance(probs)
                 if adapt_eps:
-                    eps = adapt_step_size(eps, probs, target_accept, learning_rate)
+                    probs = diag.accept_probs_from_ratios(out.log_accept_ratio)
+                    cfg.step_size = adapt_step_size(
+                        cfg.step_size, probs, target_accept, learning_rate
+                    )
                 if collect:
                     if moments is None:
                         moments = diag.welford_init(batch.z.shape)
                     moments = diag.welford_update(moments, np.asarray(batch.z, np.float64))
-            return eps, moments, hm
+            return cfg.step_size, moments, out.harmonic_accept
 
         base = replace(config, mass_diag=None)
         eps1, _, _ = phase(k1, n1, replace(base, step_size=config.step_size), True, False)

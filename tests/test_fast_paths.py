@@ -1,15 +1,24 @@
 """Fast paths checked bit for bit against the slow paths they replace:
 gradient-only evaluation, gradient-only interior leapfrog steps, the cached
-per-term stable ratio, and ChEES streamed under moments-only retention."""
+per-term stable ratio, and ChEES streamed under moments-only retention. The
+fused Bernoulli term and residual are checked against scipy to stated bounds."""
 
 import json
 
 import numpy as np
 import pytest
+from scipy.special import expit, log_expit
 
 import manychain.sampler as sampler
 from manychain.cli import main
-from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
+from manychain.model import (
+    Dataset,
+    GaussianTarget,
+    ModelTarget,
+    _bernoulli_terms,
+    _sign_residuals,
+    generate_synthetic,
+)
 from manychain.prng import fold_in, key_from_seed, normal, split
 from manychain.sampler import ChainBatch, HmcConfig, hmc_step
 
@@ -209,3 +218,98 @@ def test_chees_agrees_between_retentions(tmp_path):
         assert main(args + ["--retention", retention, "--output", str(out)]) == 0
         chees[retention] = json.loads((out / "diagnostics.json").read_text())["chees"]
     assert chees["moments-only"] == pytest.approx(chees["full"], rel=1e-9, abs=0.0)
+
+
+# Logits at the edges of the fused observation term: 0, tiny, moderate,
+# where float32 exp(m) overflows (88 vs 89), where float64 exp(m) overflows
+# (709.78), far past both, and infinite.
+FUSED_LOGITS = np.array(
+    [0.0, 1e-8, 1.0, 17.0, 30.0, 88.0, 89.0, 700.0, 710.0, 1e4, np.inf]
+)
+FUSED_LOGITS = np.concatenate([-FUSED_LOGITS[::-1], FUSED_LOGITS])
+# Bound on the observation terms against float64 log_expit, in units of the
+# working dtype's spacing at the reference. exp and log1p each round once;
+# float32 exp is not correctly rounded, and at m = 1 the two errors add to
+# 1.99 spacings (float64: 0), so float32 gets headroom for other SIMD paths.
+FUSED_TERM_ULPS = {np.float64: 1.0, np.float32: 4.0}
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_fused_observation_terms_and_residuals_match_scipy(precision):
+    """The fused term min(m, 0) - log1p(exp(-|m|)) is within FUSED_TERM_ULPS
+    spacings of float64 log_expit(m), and the sign residual 1 / (1 + exp(m)) is,
+    times sign, y - expit(logit) within one machine epsilon, at m = sign *
+    logit for both labels."""
+    dtype = np.float32 if precision == "single" else np.float64
+    for y in (0.0, 1.0):
+        sign = 2.0 * y - 1.0
+        m = (sign * FUSED_LOGITS).astype(dtype)
+        exact = m.astype(np.float64)  # the margins as the dtype holds them
+        with np.errstate(over="ignore"):
+            terms = _bernoulli_terms(m)
+            resid = sign * _sign_residuals(m)
+        assert terms.dtype == dtype and resid.dtype == dtype
+        assert not np.isnan(terms).any()
+        assert not (terms > 0).any()
+
+        ref = log_expit(exact)
+        np.testing.assert_array_equal(np.isinf(terms), np.isinf(ref))
+        fin = np.isfinite(ref)
+        spacing = np.spacing(np.abs(ref[fin]).astype(dtype)).astype(np.float64)
+        ulps = np.abs(terms[fin].astype(np.float64) - ref[fin]) / spacing
+        assert ulps.max() <= FUSED_TERM_ULPS[dtype], (y, m[fin][ulps.argmax()], ulps.max())
+
+        ref_resid = y - expit(sign * exact)
+        err = np.abs(resid.astype(np.float64) - ref_resid)
+        assert err.max() <= np.finfo(dtype).eps, (y, m[err.argmax()], err.max())
+        # the limits are exact: residual 0 at m = +inf, sign at m = -inf
+        assert resid[m == np.inf] == 0.0 and resid[m == -np.inf] == sign
+
+
+def edge_target(precision):
+    """One feature whose values are the finite FUSED_LOGITS, once per label,
+    so the state [0, 0, 1] (tau = lamb = beta = 1) has those logits exactly."""
+    x = np.tile(FUSED_LOGITS[np.isfinite(FUSED_LOGITS)], 2)[:, None]
+    y = np.repeat([0.0, 1.0], x.shape[0] // 2)
+    return ModelTarget(Dataset(x, y), precision=precision)
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_fused_terms_at_extreme_states(precision):
+    target = edge_target(precision)
+    live = np.array([
+        [0.0, 0.0, 1.0],  # logits = x
+        [0.0, 0.0, -1.0],
+        [0.0, 0.0, 40.0],  # margins up to 4e5: exp(m) overflows in both
+        [0.0, 0.0, 0.0],  # every margin 0
+        [-800.0, 0.0, 1.0],  # tau underflows to 0: every margin 0
+        [0.0, 0.0, 1e-3],
+    ], dtype=target.dtype)
+    dead = np.array([
+        [800.0, 0.0, 1.0],  # tau = exp(800) overflows in both precisions
+        [0.0, 800.0, -1.0],  # and so does lamb
+    ], dtype=target.dtype)
+    states = np.concatenate([live, dead])
+    value, grad, terms = target.value_and_grad(states, terms=True)
+    n_live = len(live)
+
+    t_obs = terms[:n_live, target.dim :]
+    assert not np.isnan(t_obs).any() and not (t_obs > 0).any()
+    assert np.isfinite(value[:n_live]).all() and np.isfinite(grad[:n_live]).all()
+    assert np.isneginf(value[n_live:]).all()
+
+    # the target's terms at [0, 0, 1] are the fused terms of sign * x
+    sign = 2.0 * target.dataset.y - 1.0
+    m = (sign * target.dataset.x[:, 0]).astype(target.dtype)
+    np.testing.assert_array_equal(t_obs[0], _bernoulli_terms(m))
+
+    assert same_bits(value, target.log_prob(states))
+    assert same_bits(grad, target.grad(states))
+    assert same_bits(value, target.value_and_grad(states)[0])
+
+    ratio = target.terms_ratio
+    t_live, t_dead = terms[:1], terms[n_live : n_live + 1]
+    assert ratio(t_dead, t_live)[0] == -np.inf
+    assert ratio(t_live, t_dead)[0] == np.inf
+    assert ratio(t_dead, t_dead)[0] == -np.inf
+    assert np.isfinite(ratio(terms[:n_live], terms[:n_live][::-1])).all()
