@@ -16,7 +16,7 @@ from .diagnostics import (
     welford_merge,
     welford_update,
 )
-from .gradients import FiniteDifferenceReport, finite_difference_check, value_and_grad
+from .gradients import FiniteDifferenceReport, finite_difference_check
 from .model import (
     ConstrainedParams,
     Dataset,
@@ -55,6 +55,7 @@ from .sampler import (
     draw_trajectory_length,
     estimate_diag_mass,
     hmc_step,
+    iteration_keys,
     leapfrog_step,
     run_chains,
     warmup_adapt,

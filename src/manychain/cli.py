@@ -11,6 +11,10 @@ root -> (data_key, init_key, warmup_key, run_key), so one integer pins the
 dataset, the start states, warmup adaptation, and the sampling pass. Two runs
 with the same seed and flags produce byte-identical outputs at any --threads.
 
+Every command samples through the sampler's one transition (hmc_step) and,
+for multi-iteration runs, its one loop (run_chains); precision-demo drives
+hmc_step directly with the run key's per-iteration schedule (iteration_keys).
+
 Exit codes: 0 success, 1 a requested check failed, 2 usage or input errors.
 """
 
@@ -21,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,14 +40,14 @@ from .model import (
     load_csv_dataset,
     replicate_dataset,
 )
-from .prng import fold_in, key_from_seed, normal, split, uniform
+from .prng import fold_in, key_from_seed, normal, split
 from .sampler import (
     ChainBatch,
     HmcConfig,
     MomentsSink,
     TraceSink,
-    leapfrog_step,
-    log_uniforms,
+    hmc_step,
+    iteration_keys,
     run_chains,
     warmup_adapt,
 )
@@ -181,19 +186,20 @@ def read_bench_csv(path):
 
 def cmd_sample(args) -> int:
     data_key, init_key, warmup_key, run_key = _expand_seed(args.seed)
-    target = build_target(args.model, args.precision, data_key)
     if args.retention == "full" and args.draws < 8:
         raise UsageError("need at least 8 draws for trace diagnostics")
     if args.draws < 2:
         raise UsageError("need at least 2 draws")
     if args.chains < 1:
         raise UsageError("need at least 1 chain")
+    if args.retention == "moments-only" and args.chains < 2:
+        raise UsageError("moments-only retention needs at least 2 chains for streaming R-hat")
+    target = build_target(args.model, args.precision, data_key)
 
     config = HmcConfig(
         step_size=args.step_size,
         num_leapfrog_steps=args.leapfrog_steps,
         jitter=args.jitter,
-        precision=args.precision,
         stable_ratio=args.stable_ratio,
     )
     z0 = initial_states(init_key, args.chains, target.dim)
@@ -274,7 +280,6 @@ def cmd_bench_chains(args) -> int:
         step_size=args.step_size,
         num_leapfrog_steps=args.leapfrog_steps,
         jitter=True,
-        precision="double",
     )
     rows = []
     print(f"model={args.model}  draws/chain={args.draws_per_chain}  "
@@ -370,10 +375,29 @@ def _demo_mass(target: ModelTarget) -> np.ndarray:
     return mass
 
 
+def _double_oracle(t32, t64, out, z) -> np.ndarray:
+    """Float64 oracle of a float32 stable-ratio step from states z: its log
+    accept ratio with the density part redone in double, -inf where that
+    ratio is not finite (a diverged proposal)."""
+    r = out.log_accept_ratio.astype(np.float64)
+    z1 = out.proposal
+    redone = (r - t32.log_prob_ratio(z1, z)
+              + t64.log_prob_ratio(z1.astype(np.float64), z.astype(np.float64)))
+    return np.where(np.isfinite(r), redone, -np.inf)
+
+
 def cmd_precision_demo(args) -> int:
-    data_key, init_key, _, _ = _expand_seed(args.seed)
+    """Float32 chains advanced by the sampler's stable transition. Every
+    iteration also runs the naive transition from the same batch with the
+    same keys; both integrate bit-identically, so the two ratios are the
+    sampler's own on one proposal. The float64 oracle is _double_oracle."""
+    data_key, _, _, run_key = _expand_seed(args.seed)
     if args.steps < 1 or args.chains < 1 or args.leapfrog_steps < 1:
         raise UsageError("--steps, --chains and --leapfrog-steps must be positive")
+    if args.replication < 0:
+        raise UsageError("--replication must be >= 0")
+    config = HmcConfig(step_size=args.step_size, num_leapfrog_steps=args.leapfrog_steps,
+                       jitter=False)
     if args.model is not None:
         base = build_dataset(args.model, data_key)
     else:
@@ -382,12 +406,8 @@ def cmd_precision_demo(args) -> int:
                        true_coef=base.true_coef)
 
     z0 = _demo_start(base)
-    probe = ModelTarget(base, precision="double")
-    base_mag = abs(float(probe.log_prob(z0)))
-    del probe
+    base_mag = abs(float(ModelTarget(base, precision="double").log_prob(z0)))
     k = args.replication
-    if k < 0:
-        raise UsageError("--replication must be >= 0")
     if k == 0:
         # smallest K that pushes |log density| safely past the 2^24 cliff
         k = max(1, math.ceil(1.05 * TWO_24 / max(base_mag, 1.0)))
@@ -403,55 +423,25 @@ def cmd_precision_demo(args) -> int:
             file=sys.stderr,
         )
 
-    mass = _demo_mass(t64)
-    inv_mass32 = (1.0 / mass).astype(np.float32)
-    inv_mass64 = 1.0 / mass
-    sqrt_mass = np.sqrt(mass)
-    c, dim = args.chains, t32.dim
-    eps = args.step_size
-
-    z = np.tile(z0.astype(np.float32), (c, 1))
-    value, grad = t32.value_and_grad(z)
-
-    k_mom, k_u = split(init_key, 2)
-    mom_keys = split(k_mom, args.steps)
-    u_keys = split(k_u, args.steps)
+    naive_config = replace(config, mass_diag=_demo_mass(t64))
+    stable_config = replace(naive_config, stable_ratio=True)
+    c = args.chains
+    batch = ChainBatch.init(t32, np.tile(z0, (c, 1)))
     naive, stable, oracle = [], [], []
-    with np.errstate(over="ignore", invalid="ignore",
-                     under="ignore", divide="ignore"):
-        for t in range(args.steps):
-            m0 = (np.asarray(normal(mom_keys[t], [c, dim])) * sqrt_mass).astype(np.float32)
-            zc, mc, vc, _ = leapfrog_step(t32, eps, z, m0, grad, mass_diag=mass,
-                                          num_steps=args.leapfrog_steps)
-            ok = np.all(np.isfinite(zc), axis=1) & np.all(np.isfinite(mc), axis=1)
-            zc = np.where(ok[:, None], zc, z)
-            mc = np.where(ok[:, None], mc, m0)
-            # naive: difference of two independently rounded energy totals
-            kin0 = (0.5 * m0 * m0 * inv_mass32).sum(axis=1)
-            kin1 = (0.5 * mc * mc * inv_mass32).sum(axis=1)
-            r_naive = (kin0 - value) - (kin1 - vc)
-            # stable: per-term differences before any summation
-            kd32 = (0.5 * (m0 * m0 - mc * mc) * inv_mass32).sum(axis=1)
-            r_stable = kd32 + t32.log_prob_ratio(zc, z)
-            # oracle: the same transition, everything in double
-            kd64 = (0.5 * (m0.astype(np.float64) ** 2 - mc.astype(np.float64) ** 2)
-                    * inv_mass64).sum(axis=1)
-            r_oracle = kd64 + t64.log_prob_ratio(zc.astype(np.float64),
-                                                 z.astype(np.float64))
-            neg_inf = np.float64(-np.inf)
-            naive.append(np.where(ok, np.float64(r_naive), neg_inf))
-            stable.append(np.where(ok, np.float64(r_stable), neg_inf))
-            oracle.append(np.where(ok, r_oracle, neg_inf))
-            # advance by the oracle rule so all three see identical transitions
-            log_u = log_uniforms(uniform(u_keys[t], [c]))
-            accept = ok & np.isfinite(r_oracle) & (log_u < r_oracle)
-            z = np.where(accept[:, None], zc, z)
-            value, grad = t32.value_and_grad(z)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+        for keys, jitter_key in iteration_keys(run_key, args.steps, c):
+            _, out = hmc_step(t32, naive_config, batch, keys, jitter_key)
+            naive.append(out.log_accept_ratio.astype(np.float64))
+            z = batch.z
+            batch, out = hmc_step(t32, stable_config, batch, keys, jitter_key)
+            stable.append(out.log_accept_ratio.astype(np.float64))
+            oracle.append(_double_oracle(t32, t64, out, z))
 
-    naive = np.stack(naive)
-    stable = np.stack(stable)
-    oracle = np.stack(oracle)
+    naive, stable, oracle = map(np.stack, (naive, stable, oracle))
     finite = np.isfinite(oracle) & np.isfinite(naive) & np.isfinite(stable)
+    if not finite.any():
+        raise UsageError("every proposal diverged: no transition has finite naive, stable "
+                         "and oracle ratios; try a smaller --step-size")
     result = {
         "replication": int(k),
         "base_rows": int(base.num_rows),

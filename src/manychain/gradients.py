@@ -1,4 +1,4 @@
-"""Gradient access and its independent numerical check.
+"""The independent numerical check of a target's analytic gradient.
 
 Targets carry their own analytic gradients (grad and value_and_grad
 methods), derived by chain rule through the exp reparameterization of the
@@ -11,13 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def value_and_grad(target, z):
-    """Log density and gradient at z. value is bitwise equal to
-    target.log_prob(z); gradient cost is a small constant times one density
-    evaluation (one extra matrix product for the data term)."""
-    return target.value_and_grad(z)
 
 
 @dataclass

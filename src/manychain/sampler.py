@@ -8,12 +8,18 @@ dedicated key stream shared by all chains; per-chain jitter would break the
 lockstep execution shape (and quietly serialize a vectorized batch), so
 hmc_step hard-fails if it is handed per-chain lengths that disagree.
 
-Randomness per iteration: the iteration's step key is folded with each
-chain index to give per-chain keys (momentum + accept draw), while the
-jitter key is used whole. The per-chain keys travel as one (C, 2) key array
-(prng.key_array). The fold-in, the split of each chain's key and the
-chain's momentum and accept draws are three array calls for all chains
-together, and give the bits the one-key prng functions give.
+One transition, one loop: hmc_step is the only HMC transition and
+run_chains the only iteration loop. The sampling pass and the three warmup
+phases (each one run_chains call with a private sink) go through both;
+precision-demo drives hmc_step with the same key schedule.
+
+Randomness per iteration comes from one schedule, iteration_keys: the run's
+root key splits into a step stream and a jitter stream; the iteration's step
+key is folded with each chain index to give per-chain keys (momentum +
+accept draw), while the jitter key is used whole. The per-chain keys travel
+as one (C, 2) key array (prng.key_array). The fold-in, the split of each
+chain's key and the chain's momentum and accept draws are three array calls
+for all chains together, and give the bits the one-key prng functions give.
 
 Runs are bitwise reproducible from (seed, config): chains are processed in
 fixed chunks whose layout does not depend on the worker count, and every
@@ -65,13 +71,13 @@ class HmcConfig:
     to isolate the accept path); it must not be negative. mass_diag is a
     per-dimension mass vector (1/posterior variance scale); None means
     identity. stable_ratio selects the per-term log density ratio for the
-    accept test instead of differencing two energy totals.
+    accept test instead of differencing two energy totals. The working
+    precision is always the target's.
     """
 
     step_size: float
     num_leapfrog_steps: int
     jitter: bool = True
-    precision: str = "double"
     mass_diag: np.ndarray | None = None
     stable_ratio: bool = False
 
@@ -83,8 +89,6 @@ class HmcConfig:
                 f"num_leapfrog_steps must be a positive integer, got {self.num_leapfrog_steps}"
             )
         self.num_leapfrog_steps = int(self.num_leapfrog_steps)
-        if self.precision not in ("single", "double"):
-            raise ValueError(f"precision must be 'single' or 'double', got {self.precision!r}")
         if self.mass_diag is not None:
             m = np.asarray(self.mass_diag, dtype=np.float64)
             if m.ndim != 1 or not np.all(np.isfinite(m)) or np.any(m <= 0.0):
@@ -142,10 +146,12 @@ class ChainBatch:
 
 @dataclass
 class StepOutput:
-    """One iteration's result: post-accept states, accept flags, log accept
-    ratios, and the single trajectory length every chain executed."""
+    """One iteration's result: post-accept states, the trajectory endpoints
+    proposed before the accept select, accept flags, log accept ratios, and
+    the single trajectory length every chain executed."""
 
     z: np.ndarray  # (C, P)
+    proposal: np.ndarray  # (C, P)
     is_accepted: np.ndarray  # (C,) bool
     log_accept_ratio: np.ndarray  # (C,)
     num_leapfrog_used: int
@@ -233,15 +239,11 @@ def _chunk_ranges(num_chains: int):
 def _chain_draws(step_keys: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Momentum normals (C, p) and log accept uniforms (C,), float64: for
     (mk, uk) = split(k, 2) of chain key k, normal(mk, [p]) and
-    log(uniform(uk)), -inf for a zero uniform."""
+    math.log(uniform(uk)) (np.log differs in the last bit), -inf for a zero
+    uniform."""
     kids = split_each(step_keys, 2)
     normals, u = normal_uniform_each(kids[:, 0], kids[:, 1], p)
-    return normals, log_uniforms(u)
-
-
-def log_uniforms(u) -> np.ndarray:
-    """The accept test's math.log of uniforms (np.log differs in the last bit), -inf at 0."""
-    return np.array([math.log(x) if x > 0.0 else -math.inf for x in np.asarray(u).tolist()])
+    return normals, np.array([math.log(x) if x > 0.0 else -math.inf for x in u.tolist()])
 
 
 def hmc_step(
@@ -267,11 +269,6 @@ def hmc_step(
     step_keys = key_array(step_keys)
     if len(step_keys) != c:
         raise ValueError(f"need {c} per-chain keys, got {len(step_keys)}")
-    if config.precision != target.precision:
-        raise ValueError(
-            f"config precision {config.precision!r} does not match "
-            f"target precision {target.precision!r}"
-        )
     dtype = target.dtype
 
     if length_fn is None:
@@ -359,6 +356,7 @@ def hmc_step(
     )
     out = StepOutput(
         z=new_batch.z,
+        proposal=z1,
         is_accepted=accepted,
         log_accept_ratio=log_accept_ratio,
         num_leapfrog_used=int(num_steps),
@@ -532,6 +530,19 @@ class MomentsSink:
         )
 
 
+def iteration_keys(root_key: RandomKey, num_steps: int, num_chains: int):
+    """The one per-iteration key schedule. root_key splits into a step
+    stream and a jitter stream of num_steps keys each; iteration t yields
+    the step key folded with every chain index, as a (C, 2) key array, and
+    the jitter key whole."""
+    if num_steps < 1:
+        return
+    step_root, jitter_root = split(root_key, 2)
+    chain_ids = np.arange(num_chains)
+    for step_key, jitter_key in zip(split(step_root, num_steps), split(jitter_root, num_steps)):
+        yield fold_in_each(step_key, chain_ids), jitter_key
+
+
 def run_chains(
     target,
     config: HmcConfig,
@@ -544,19 +555,14 @@ def run_chains(
     """Run C lockstep chains for num_steps iterations, streaming each
     StepOutput into sink.
 
-    root_key expands into two independent per-step streams: one for the
-    per-chain step keys, one for the shared jitter draws. z_init may be a
-    (C, P) array or a warm ChainBatch from a previous run.
+    Keys come from iteration_keys(root_key, ...). z_init may be a (C, P)
+    array or a warm ChainBatch from a previous run. config is read afresh
+    every iteration, so a sink may adapt it in place between iterations.
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if config.precision != target.precision:
-        raise ValueError(
-            f"config precision {config.precision!r} does not match "
-            f"target precision {target.precision!r}"
-        )
     if isinstance(z_init, ChainBatch):
         batch = z_init
     else:
@@ -567,26 +573,18 @@ def run_chains(
     accept_total = 0
     step_hm_sum = 0.0
     total_leapfrogs = 0
-    if num_steps > 0:
-        sample_root, jitter_root = split(root_key, 2)
-        step_stream = split(sample_root, num_steps)
-        jitter_stream = split(jitter_root, num_steps)
-        chain_ids = np.arange(c)
-        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-        try:
-            for t in range(num_steps):
-                per_chain = fold_in_each(step_stream[t], chain_ids)
-                batch, out = hmc_step(
-                    target, config, batch, per_chain, jitter_stream[t], pool=pool
-                )
-                if sink is not None:
-                    sink.record(out)
-                accept_total += int(out.is_accepted.sum())
-                step_hm_sum += out.harmonic_accept
-                total_leapfrogs += out.num_leapfrog_used
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    try:
+        for per_chain, jitter_key in iteration_keys(root_key, num_steps, c):
+            batch, out = hmc_step(target, config, batch, per_chain, jitter_key, pool=pool)
+            if sink is not None:
+                sink.record(out)
+            accept_total += int(out.is_accepted.sum())
+            step_hm_sum += out.harmonic_accept
+            total_leapfrogs += out.num_leapfrog_used
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True)
     wall = perf_counter() - t0
 
     return RunSummary(
@@ -608,6 +606,37 @@ class WarmupInfo:
     final_harmonic_accept: float
 
 
+class _StepSizeSearch:
+    """Warmup sink that adapts its phase's own config copy in place after
+    every iteration and keeps the last StepOutput."""
+
+    def __init__(self, config: HmcConfig, target_accept: float, learning_rate: float):
+        self.config = config
+        self.target_accept = target_accept
+        self.learning_rate = learning_rate
+        self.last = None
+
+    def record(self, out: StepOutput):
+        self.last = out
+        probs = diag.accept_probs_from_ratios(out.log_accept_ratio)
+        self.config.step_size = adapt_step_size(
+            self.config.step_size, probs, self.target_accept, self.learning_rate
+        )
+
+
+class _DrawMoments:
+    """Warmup sink that collects per-chain Welford moments of the draws."""
+
+    def __init__(self):
+        self.moments = None
+
+    def record(self, out: StepOutput):
+        z = np.asarray(out.z, dtype=np.float64)
+        if self.moments is None:
+            self.moments = diag.welford_init(z.shape)
+        self.moments = diag.welford_update(self.moments, z)
+
+
 def warmup_adapt(
     target,
     config: HmcConfig,
@@ -620,7 +649,9 @@ def warmup_adapt(
 ) -> tuple[HmcConfig, ChainBatch, WarmupInfo]:
     """Three-phase warmup: step-size search under identity mass (15%),
     moment collection for the diagonal mass (70%), step-size re-search under
-    the new mass (15%). Returns the adapted config and the warm batch."""
+    the new mass (15%). Each phase is one run_chains call on its own config
+    copy and its own key from split(root_key, 3). Returns the adapted config
+    and the warm batch."""
     if num_warmup < 15:
         raise ValueError(f"adaptive warmup needs at least 15 iterations, got {num_warmup}")
     if config.step_size <= 0.0:
@@ -628,49 +659,22 @@ def warmup_adapt(
     n1 = max(1, int(round(0.15 * num_warmup)))
     n3 = max(1, int(round(0.15 * num_warmup)))
     n2 = num_warmup - n1 - n3
-    batch = z_init if isinstance(z_init, ChainBatch) else ChainBatch.init(target, z_init)
     k1, k2, k3 = split(root_key, 3)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        def phase(key, steps, cfg, adapt_eps, collect):
-            # cfg is this phase's own copy, so its step size adapts in place
-            nonlocal batch
-            moments = None
-            step_stream, jitter_stream = (split(k, steps) for k in split(key, 2))
-            chain_ids = np.arange(batch.num_chains)
-            for t in range(steps):
-                per_chain = fold_in_each(step_stream[t], chain_ids)
-                batch, out = hmc_step(
-                    target, cfg, batch, per_chain, jitter_stream[t], pool=pool
-                )
-                if adapt_eps:
-                    probs = diag.accept_probs_from_ratios(out.log_accept_ratio)
-                    cfg.step_size = adapt_step_size(
-                        cfg.step_size, probs, target_accept, learning_rate
-                    )
-                if collect:
-                    if moments is None:
-                        moments = diag.welford_init(batch.z.shape)
-                    moments = diag.welford_update(moments, np.asarray(batch.z, np.float64))
-            return cfg.step_size, moments, out.harmonic_accept
+    searched = replace(config, mass_diag=None)
+    search = _StepSizeSearch(searched, target_accept, learning_rate)
+    batch = run_chains(target, searched, z_init, k1, n1, sink=search, threads=threads).final_batch
+    moments = _DrawMoments()
+    batch = run_chains(target, searched, batch, k2, n2, sink=moments, threads=threads).final_batch
+    mass = estimate_diag_mass(moments.moments)
+    adapted = replace(config, step_size=searched.step_size, mass_diag=mass)
+    research = _StepSizeSearch(adapted, target_accept, learning_rate)
+    batch = run_chains(target, adapted, batch, k3, n3, sink=research, threads=threads).final_batch
 
-        base = replace(config, mass_diag=None)
-        eps1, _, _ = phase(k1, n1, replace(base, step_size=config.step_size), True, False)
-        _, moments, _ = phase(k2, n2, replace(base, step_size=eps1), False, True)
-        mass = estimate_diag_mass(moments)
-        eps3, _, hm3 = phase(
-            k3, n3, replace(config, step_size=eps1, mass_diag=mass), True, False
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    adapted = replace(config, step_size=eps3, mass_diag=mass)
     info = WarmupInfo(
         phase_steps=(n1, n2, n3),
-        step_size=eps3,
+        step_size=adapted.step_size,
         mass_diag=mass,
-        final_harmonic_accept=hm3,
+        final_harmonic_accept=research.last.harmonic_accept,
     )
     return adapted, batch, info

@@ -4,6 +4,7 @@ Everything here goes through the same argv surface a shell user sees; the
 emitted files are read back only with the package's own readers."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,10 @@ def test_sample_usage_errors(tmp_path, capsys):
     assert main(["sample", "nonsense"]) == 2
     assert main(["sample", "german-credit:/no/such/file.csv"]) == 2
     assert main(["sample", "synthetic:10,4"]) == 2  # missing sparsity
+    # streaming R-hat needs two chains: rejected before any sampling
+    assert main(["sample", "gaussian:4", "--chains", "1", "--retention", "moments-only"]) == 2
+    assert "at least 2 chains" in capsys.readouterr().err
+    run_sample(tmp_path, "one", "gaussian:4", "--chains", "1", "--draws", "16", "--warmup", "20")
 
 
 def test_grad_check_exit_codes(capsys):
@@ -173,6 +178,17 @@ def test_precision_demo_small_csv(tmp_path, capsys):
 def test_precision_demo_usage_errors():
     assert main(["precision-demo", "--steps", "0"]) == 2
     assert main(["precision-demo", "--replication", "-1"]) == 2
+    assert main(["precision-demo", "--step-size", "-0.1"]) == 2
+    assert main(["precision-demo", "--step-size", "nan"]) == 2
+
+
+def test_precision_demo_every_proposal_diverged(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["precision-demo", "--model", f"german-credit:{SMALL_CSV}",
+                   "--replication", "1", "--step-size", "1e8", "--steps", "10"])
+    assert rc == 2
+    assert "every proposal diverged" in capsys.readouterr().err
 
 
 def test_trace_csv_round_trip(tmp_path):

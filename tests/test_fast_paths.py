@@ -163,8 +163,7 @@ def test_stable_ratio_cache_matches_log_prob_ratio(monkeypatch):
     z_init = 0.4 * np.asarray(normal(k_init, [chains, target.dim]))
     batch = ChainBatch.init(target, z_init)
     assert batch.terms is None
-    cfg = HmcConfig(step_size=0.25, num_leapfrog_steps=3, jitter=True,
-                    precision="single", stable_ratio=True)
+    cfg = HmcConfig(step_size=0.25, num_leapfrog_steps=3, jitter=True, stable_ratio=True)
 
     calls = []
     leapfrog = sampler._leapfrog

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from manychain.gradients import finite_difference_check, value_and_grad
+from manychain.gradients import finite_difference_check
 from manychain.model import Dataset, GaussianTarget, ModelTarget, generate_synthetic
 from manychain.prng import key_from_seed, normal, split
 
@@ -11,7 +11,7 @@ from manychain.prng import key_from_seed, normal, split
 def test_gaussian_gradient_is_negative_state():
     g = GaussianTarget(2)
     z = np.array([1.0, -2.0])
-    value, grad = value_and_grad(g, z)
+    value, grad = g.value_and_grad(z)
     np.testing.assert_array_equal(grad, np.array([-1.0, 2.0]))
     assert float(value) == float(g.log_prob(z))
 
@@ -21,7 +21,7 @@ def test_value_is_bitwise_log_prob():
     ds = generate_synthetic(key, 150, 5, 0.4)
     target = ModelTarget(ds)
     z = np.asarray(normal(split(key, 2)[1], [16, target.dim]))
-    value, _ = value_and_grad(target, z)
+    value, _ = target.value_and_grad(z)
     np.testing.assert_array_equal(value, target.log_prob(z))
 
 

@@ -242,8 +242,7 @@ def test_hmc_step_takes_key_arrays_and_lists_alike(precision, stable):
     k_init, k_step, k_jitter = split(k_rest, 3)
     z = 0.3 * np.asarray(normal(k_init, [19, target.dim]))
     mass = np.linspace(0.5, 2.0, target.dim)
-    cfg = HmcConfig(step_size=0.2, num_leapfrog_steps=3, precision=precision,
-                    mass_diag=mass, stable_ratio=stable)
+    cfg = HmcConfig(step_size=0.2, num_leapfrog_steps=3, mass_diag=mass, stable_ratio=stable)
     keys = fold_in_each(k_step, np.arange(19))
     batch = ChainBatch.init(target, z)
     b_arr, out_arr = hmc_step(target, cfg, batch, keys, k_jitter)
