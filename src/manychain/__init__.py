@@ -55,7 +55,6 @@ from .sampler import (
     draw_trajectory_length,
     estimate_diag_mass,
     hmc_step,
-    iteration_keys,
     leapfrog_step,
     run_chains,
     warmup_adapt,

@@ -380,10 +380,12 @@ def _double_oracle(t32, t64, out, z) -> np.ndarray:
     accept ratio with the density part redone in double, -inf where that
     ratio is not finite (a diverged proposal)."""
     r = out.log_accept_ratio.astype(np.float64)
-    z1 = out.proposal
+    ok = np.isfinite(r)
+    # a finite ratio implies a finite proposal; diverged rows are redone at z
+    z1 = np.where(ok[:, None], out.proposal, z)
     redone = (r - t32.log_prob_ratio(z1, z)
               + t64.log_prob_ratio(z1.astype(np.float64), z.astype(np.float64)))
-    return np.where(np.isfinite(r), redone, -np.inf)
+    return np.where(ok, redone, -np.inf)
 
 
 def cmd_precision_demo(args) -> int:
@@ -449,8 +451,8 @@ def cmd_precision_demo(args) -> int:
         "log_density_magnitude": float(magnitude),
         "naive_flag_fraction": diag.roundoff_suspicion(naive),
         "stable_flag_fraction": diag.roundoff_suspicion(stable),
-        "max_abs_err_naive": float(np.abs((naive - oracle)[finite]).max()),
-        "max_abs_err_stable": float(np.abs((stable - oracle)[finite]).max()),
+        "max_abs_err_naive": float(np.abs(naive[finite] - oracle[finite]).max()),
+        "max_abs_err_stable": float(np.abs(stable[finite] - oracle[finite]).max()),
         "steps": int(args.steps),
         "chains": int(c),
     }

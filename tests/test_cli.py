@@ -182,13 +182,42 @@ def test_precision_demo_usage_errors():
     assert main(["precision-demo", "--step-size", "nan"]) == 2
 
 
-def test_precision_demo_every_proposal_diverged(capsys):
+@pytest.mark.parametrize("leapfrog_steps", ["2", "8"])  # rejected only / overflowing
+def test_precision_demo_every_proposal_diverged(capsys, leapfrog_steps):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["precision-demo", "--model", f"german-credit:{SMALL_CSV}",
-                   "--replication", "1", "--step-size", "1e8", "--steps", "10"])
+                   "--replication", "1", "--step-size", "1e8", "--steps", "10",
+                   "--leapfrog-steps", leapfrog_steps])
     assert rc == 2
     assert "every proposal diverged" in capsys.readouterr().err
+
+
+def test_precision_demo_some_proposals_diverged(tmp_path, monkeypatch):
+    """At this step size some but not all of the 40 transitions diverge; the
+    demo reports over the finite ones and leaks no warning."""
+    import manychain.cli as cli
+
+    oracles = []
+    oracle = cli._double_oracle
+
+    def recording_oracle(*args):
+        oracles.append(oracle(*args))
+        return oracles[-1]
+
+    monkeypatch.setattr(cli, "_double_oracle", recording_oracle)
+    out = tmp_path / "demo.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["precision-demo", "--model", f"german-credit:{SMALL_CSV}",
+                   "--replication", "1", "--step-size", "29.8", "--steps", "10",
+                   "--chains", "4", "--leapfrog-steps", "8", "--output", str(out)])
+    assert rc == 0
+    diverged = np.isneginf(np.stack(oracles))
+    assert diverged.size == 40 and 0 < diverged.sum() < 40
+    result = json.loads(out.read_text())
+    assert np.isfinite(result["max_abs_err_naive"])
+    assert np.isfinite(result["max_abs_err_stable"])
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -130,6 +130,28 @@ def test_proposal_is_the_pre_select_endpoint():
     assert accepted > 0 and rejected > 0
 
 
+def test_demo_oracle_is_minus_inf_where_the_proposal_overflowed():
+    """Chains 1 and 2 start far out, so their trajectories overflow to a
+    non-finite proposal; the oracle records -inf there and stays the stable
+    ratio, redone in double, on the other chains."""
+    t32, key = small_model(61, "single")
+    t64 = ModelTarget(t32.dataset, precision="double")
+    k_init, k_run = split(key, 2)
+    z = 0.4 * np.asarray(normal(k_init, [4, t32.dim]))
+    z[1:3] += 5.0
+    config = HmcConfig(step_size=0.1, num_leapfrog_steps=4, stable_ratio=True)
+    keys, jitter_key = next(iteration_keys(k_run, 1, 4))
+    with np.errstate(all="ignore"):
+        batch = ChainBatch.init(t32, z)
+        _, out = hmc_step(t32, config, batch, keys, jitter_key)
+        got = cli._double_oracle(t32, t64, out, batch.z)
+    assert np.array_equal(np.all(np.isfinite(out.proposal), axis=1), [True, False, False, True])
+    assert np.array_equal(np.isneginf(got), [False, True, True, False])
+    stable = out.log_accept_ratio.astype(np.float64)
+    assert np.all(np.isfinite(got[[0, 3]]))
+    assert np.abs(got[[0, 3]] - stable[[0, 3]]).max() <= 1e-4
+
+
 def test_demo_oracle_matches_an_independent_double_oracle(monkeypatch, tmp_path):
     """The demo's oracle (the stable ratio with its density part redone in
     double) against the kinetic difference of the recorded momenta in double
