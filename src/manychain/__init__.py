@@ -32,14 +32,10 @@ from .model import (
 from .prng import (
     RandomKey,
     fold_in,
-    fold_in_each,
-    key_array,
     key_from_seed,
     normal,
-    normal_uniform_each,
     randint,
     split,
-    split_each,
     uniform,
 )
 from .sampler import (
@@ -52,7 +48,6 @@ from .sampler import (
     TraceSink,
     WarmupInfo,
     adapt_step_size,
-    draw_trajectory_length,
     estimate_diag_mass,
     hmc_step,
     leapfrog_step,

@@ -192,6 +192,8 @@ def cmd_sample(args) -> int:
         raise UsageError("need at least 2 draws")
     if args.chains < 1:
         raise UsageError("need at least 1 chain")
+    if args.warmup < 0:
+        raise UsageError("--warmup must be >= 0")
     if args.retention == "moments-only" and args.chains < 2:
         raise UsageError("moments-only retention needs at least 2 chains for streaming R-hat")
     target = build_target(args.model, args.precision, data_key)

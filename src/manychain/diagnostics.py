@@ -181,8 +181,9 @@ def ess(trace) -> float:
 
 
 def esjd(prev_batch, next_batch) -> float:
-    """Expected squared jump distance for one transition, averaged over
-    chains. Accumulate a running mean over steps for a whole run."""
+    """Expected squared jump distance between two (..., P) batches, averaged
+    over every leading axis: chains for one transition, or steps and chains
+    for a stacked run."""
     prev = np.atleast_2d(np.asarray(prev_batch, dtype=np.float64))
     nxt = np.atleast_2d(np.asarray(next_batch, dtype=np.float64))
     if prev.shape != nxt.shape:
@@ -192,9 +193,10 @@ def esjd(prev_batch, next_batch) -> float:
 
 
 def chees(prev_batch, next_batch, center) -> float:
-    """Change in squared distance from center, squared, averaged over chains,
-    divided by 4. center should be the current cross-chain location estimate;
-    the statistic is invariant to translating all three together."""
+    """Change in squared distance from center, squared, averaged over every
+    leading axis as in esjd, divided by 4. center should be the current
+    cross-chain location estimate; the statistic is invariant to translating
+    all three together."""
     prev = np.atleast_2d(np.asarray(prev_batch, dtype=np.float64))
     nxt = np.atleast_2d(np.asarray(next_batch, dtype=np.float64))
     if prev.shape != nxt.shape:
@@ -291,13 +293,6 @@ def report_from_trace(z_trace, log_accept_ratios, tau_trace=None) -> Diagnostics
     ess_dims = [ess(z[:, :, d]) for d in range(p)]
     ess_tau = None if tau_trace is None else ess(tau_trace)
 
-    jumps = z[1:] - z[:-1]
-    esjd_val = float((jumps * jumps).sum(axis=-1).mean()) if t > 1 else 0.0
-    ctr = z.mean(axis=(0, 1))
-    sq = ((z - ctr) ** 2).sum(axis=-1)
-    dsq = sq[1:] - sq[:-1]
-    chees_val = float(0.25 * (dsq * dsq).mean()) if t > 1 else 0.0
-
     # Mean over iterations of the per-iteration harmonic mean across chains.
     # Pooling 1/p over the whole trace would let one deep rejection dominate.
     probs = accept_probs_from_ratios(ratios)
@@ -307,8 +302,8 @@ def report_from_trace(z_trace, log_accept_ratios, tau_trace=None) -> Diagnostics
         rhat=rhat,
         ess=ess_dims,
         ess_tau=ess_tau,
-        esjd=esjd_val,
-        chees=chees_val,
+        esjd=esjd(z[:-1], z[1:]),
+        chees=chees(z[:-1], z[1:], z.mean(axis=(0, 1))),
         mean_accept_harmonic=float(np.mean(hm_per_step)),
         roundoff_flag_fraction=roundoff_suspicion(ratios),
     )

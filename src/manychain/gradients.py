@@ -24,10 +24,6 @@ class FiniteDifferenceReport:
     def max_rel_error(self) -> float:
         return float(self.rel_error.max())
 
-    @property
-    def max_abs_error(self) -> float:
-        return float(self.abs_error.max())
-
 
 def finite_difference_check(target, z, h: float = 1e-5) -> FiniteDifferenceReport:
     """Compare the analytic gradient with central differences at z.

@@ -99,11 +99,6 @@ def _stream(key: RandomKey, domain: int, index: int = 0) -> np.random.Generator:
     return _streams.generator
 
 
-def _draw_words(gen: np.random.Generator, n: int) -> np.ndarray:
-    """The next n raw 64-bit words, the draws of integers(0, 2**64)."""
-    return gen.bit_generator.random_raw(n)
-
-
 def key_from_seed(seed: int) -> RandomKey:
     """Expand a 64-bit unsigned seed into a root key.
 
@@ -115,7 +110,7 @@ def key_from_seed(seed: int) -> RandomKey:
     if not (0 <= seed < 2**64):
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     gen = _stream(RandomKey(_SEED_EXPAND_CONST, int(seed)), _DOMAIN_SEED)
-    lo, hi = _draw_words(gen, 2)
+    lo, hi = gen.bit_generator.random_raw(2)
     return RandomKey(int(hi), int(lo))
 
 
@@ -128,7 +123,7 @@ def split(key: RandomKey, n: int) -> list[RandomKey]:
     """
     if n < 1:
         raise ValueError(f"split needs n >= 1, got {n}")
-    words = _draw_words(_stream(key, _DOMAIN_SPLIT), 2 * n)
+    words = _stream(key, _DOMAIN_SPLIT).bit_generator.random_raw(2 * n)
     return [RandomKey(int(words[2 * i + 1]), int(words[2 * i])) for i in range(n)]
 
 
@@ -136,7 +131,7 @@ def fold_in(key: RandomKey, index: int) -> RandomKey:
     """Derive the child key for a structural index (e.g. a chain number)."""
     if index < 0 or index >= 2**64:
         raise ValueError(f"fold_in index must be in [0, 2**64), got {index}")
-    lo, hi = _draw_words(_stream(key, _DOMAIN_FOLD, index=int(index)), 2)
+    lo, hi = _stream(key, _DOMAIN_FOLD, index=int(index)).bit_generator.random_raw(2)
     return RandomKey(int(hi), int(lo))
 
 

@@ -126,10 +126,6 @@ class ChainBatch:
     def num_chains(self) -> int:
         return self.z.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.z.shape[1]
-
     def check_cache(self, target, atol=0.0):
         """Debug helper: recompute value/grad (and terms, when cached) and
         compare with the cache."""
@@ -393,10 +389,8 @@ def estimate_diag_mass(moments: diag.StreamingMoments) -> np.ndarray:
         raise ValueError(
             f"need at least 10 warmup draws per chain to estimate mass, have {moments.count}"
         )
-    pooled = diag.merge_chain_axis(moments)
-    var = pooled.m2 / (pooled.count - 1)
-    var = np.maximum(var, 1e-8)
-    return 1.0 / var
+    var = diag.variance(diag.merge_chain_axis(moments))
+    return 1.0 / np.maximum(var, 1e-8)
 
 
 @dataclass
@@ -436,10 +430,6 @@ class TraceSink:
         self._ratios.append(out.log_accept_ratio)
         self._lengths.append(out.num_leapfrog_used)
 
-    @property
-    def num_recorded(self) -> int:
-        return len(self._z)
-
     def z_trace(self) -> np.ndarray:
         return np.stack(self._z).astype(np.float64) if self._z else np.zeros((0, 0, 0))
 
@@ -468,6 +458,9 @@ class MomentsSink:
     sum(j j^T) are kept. Moving the centre by d shifts a by -2 d.j, so at
     report time sum((a - 2 d.j)^2) = sum(a^2) - 4 d.sum(a j) + 4 d^T sum(j j^T) d.
     This costs O(P^2) memory.
+
+    Every count the report divides by derives from moments.count: T steps
+    recorded, T - 1 jumps and T * C accept ratios.
     """
 
     def __init__(self):
@@ -478,10 +471,7 @@ class MomentsSink:
         self._aa = 0.0
         self._aj = None
         self._jj = None
-        self._jump_count = 0
         self._step_hm_sum = 0.0
-        self._step_count = 0
-        self._ratio_count = 0
         self._flag_count = 0
 
     def record(self, out: StepOutput):
@@ -499,34 +489,27 @@ class MomentsSink:
             self._aa += float(a @ a)
             self._aj += a @ jump
             self._jj += jump.T @ jump
-            self._jump_count += 1
         self.moments = diag.welford_update(self.moments, z)
         self._prev = z
 
         self._step_hm_sum += out.harmonic_accept
-        self._step_count += 1
-        self._ratio_count += out.log_accept_ratio.size
         self._flag_count += diag.roundoff_grid_hits(out.log_accept_ratio)
-
-    @property
-    def num_recorded(self) -> int:
-        return 0 if self.moments is None else self.moments.count
 
     def report(self) -> diag.DiagnosticsReport:
         if self.moments is None or self.moments.count < 2:
             raise ValueError("not enough recorded draws for a report")
         rhat = diag.streaming_rhat(self.moments)
+        steps, chains = self.moments.count, self.moments.mean.shape[0]
         d = self.moments.mean.mean(axis=0) - self._anchor
         sq_sum = self._aa - 4.0 * (d @ self._aj) + 4.0 * (d @ self._jj @ d)
-        jumps = self._jump_count  # at least 1 once two draws are in
         return diag.DiagnosticsReport(
             rhat=[float(v) for v in rhat],
             ess=None,
             ess_tau=None,
-            esjd=self._esjd_sum / jumps,
-            chees=0.25 * sq_sum / (jumps * self.moments.mean.shape[0]),
-            mean_accept_harmonic=self._step_hm_sum / self._step_count,
-            roundoff_flag_fraction=self._flag_count / self._ratio_count,
+            esjd=self._esjd_sum / (steps - 1),
+            chees=0.25 * sq_sum / ((steps - 1) * chains),
+            mean_accept_harmonic=self._step_hm_sum / steps,
+            roundoff_flag_fraction=self._flag_count / (steps * chains),
         )
 
 

@@ -108,6 +108,8 @@ def test_sample_usage_errors(tmp_path, capsys):
     assert main(["sample", "gaussian:4", "--draws", "0"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["sample", "gaussian:4", "--chains", "0"]) == 2
+    assert main(["sample", "gaussian:4", "--warmup", "-5", "--no-adapt"]) == 2
+    assert "--warmup" in capsys.readouterr().err
     assert main(["sample", "nonsense"]) == 2
     assert main(["sample", "german-credit:/no/such/file.csv"]) == 2
     assert main(["sample", "synthetic:10,4"]) == 2  # missing sparsity

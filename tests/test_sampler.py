@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
 from manychain.prng import fold_in, key_from_seed, normal, split
@@ -321,19 +323,37 @@ def test_run_chains_traces_and_determinism():
     np.testing.assert_array_equal(a.log_accept_ratios(), c.log_accept_ratios())
 
 
-def test_sinks_agree_on_shared_statistics():
-    target, key = small_model(seed=73, rows=60, features=3)
+@given(
+    chains=st.integers(2, 20),
+    steps=st.integers(8, 40),
+    model=st.sampled_from(["gaussian", "regression"]),
+    precision=st.sampled_from(["single", "double"]),
+    stable=st.booleans(),
+    step_size=st.floats(0.02, 0.3),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=25, deadline=None)
+def test_sinks_agree_on_shared_statistics(chains, steps, model, precision, stable, step_size, seed):
+    key = key_from_seed(seed)
+    if model == "gaussian":
+        target = GaussianTarget(3, precision=precision)
+    else:
+        k_data, key = split(key, 2)
+        target = ModelTarget(generate_synthetic(k_data, 60, 3, 0.5), precision=precision)
     k_init, k_run = split(key, 2)
-    z0 = 0.4 * np.asarray(normal(k_init, [8, target.dim]))
-    cfg = HmcConfig(step_size=0.05, num_leapfrog_steps=4)
+    z0 = 0.4 * np.asarray(normal(k_init, [chains, target.dim]))
+    cfg = HmcConfig(step_size=step_size, num_leapfrog_steps=4, stable_ratio=stable)
 
     trace, moments = TraceSink(), MomentsSink()
-    summary = run_chains(target, cfg, z0.copy(), k_run, 64, sink=trace)
-    run_chains(target, cfg, z0.copy(), k_run, 64, sink=moments)
+    summary = run_chains(target, cfg, z0.copy(), k_run, steps, sink=trace)
+    run_chains(target, cfg, z0.copy(), k_run, steps, sink=moments)
 
-    rep_t = trace.report()
-    rep_m = moments.report()
+    try:
+        rep_t, rep_m = trace.report(), moments.report()
+    except diag.DegenerateTraceError:
+        reject()  # too few moves for R-hat: at large steps every proposal can be rejected
     assert rep_t.esjd == pytest.approx(rep_m.esjd, rel=1e-12)
+    assert rep_t.chees == pytest.approx(rep_m.chees, rel=1e-9)
     assert rep_t.mean_accept_harmonic == pytest.approx(
         rep_m.mean_accept_harmonic, rel=1e-12
     )
