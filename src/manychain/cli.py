@@ -214,14 +214,10 @@ def cmd_sample(args) -> int:
             f"adapted: step_size={config.step_size:.5g} "
             f"warmup accept(harmonic)={info.final_harmonic_accept:.3f}"
         )
-    elif args.warmup > 0:
-        summary = run_chains(target, config, z0, warmup_key, args.warmup,
-                             sink=None, threads=args.threads)
-        start = summary.final_batch
-        warm_note = f"warmup: {args.warmup} discarded iterations, no adaptation"
     else:
-        start = ChainBatch.init(target, z0)
-        warm_note = "no warmup"
+        start = run_chains(target, config, z0, warmup_key, args.warmup,
+                           sink=None, threads=args.threads).final_batch
+        warm_note = f"warmup: {args.warmup} discarded iterations, no adaptation"
 
     sink = TraceSink() if args.retention == "full" else MomentsSink()
     summary = run_chains(target, config, start, run_key, args.draws,
@@ -342,6 +338,9 @@ TWO_24 = float(1 << 24)
 
 # scale coordinates get this mass in the demo; they stay pinned at zero
 _DEMO_PIN_MASS = 1e30
+# the built-in base dataset's one feature is scaled by this, so that few
+# rows carry large likelihood terms
+_DEMO_FEATURE_SCALE = 25.0
 
 
 def _demo_start(dataset: Dataset) -> np.ndarray:
@@ -406,8 +405,7 @@ def cmd_precision_demo(args) -> int:
         base = build_dataset(args.model, data_key)
     else:
         base = generate_synthetic(data_key, args.base_rows, 1, 1.0)
-        base = Dataset(base.x * args.feature_scale, base.y,
-                       true_coef=base.true_coef)
+        base = Dataset(base.x * _DEMO_FEATURE_SCALE, base.y, true_coef=base.true_coef)
 
     z0 = _demo_start(base)
     base_mag = abs(float(ModelTarget(base, precision="double").log_prob(z0)))
@@ -526,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--replication", type=int, default=0,
                     help="dataset replication factor K; 0 = auto-size past 2^24")
     pp.add_argument("--base-rows", type=int, default=1_200_000)
-    pp.add_argument("--feature-scale", type=float, default=25.0)
     pp.add_argument("--steps", type=int, default=30)
     pp.add_argument("--chains", type=int, default=2)
     pp.add_argument("--leapfrog-steps", type=int, default=2)

@@ -64,10 +64,11 @@ def welford_merge(a: StreamingMoments, b: StreamingMoments) -> StreamingMoments:
     return StreamingMoments(n, mean, m2)
 
 
-def variance(acc: StreamingMoments, ddof: int = 1) -> np.ndarray:
-    if acc.count < ddof + 1:
-        raise ValueError(f"need at least {ddof + 1} observations, have {acc.count}")
-    return acc.m2 / (acc.count - ddof)
+def variance(acc: StreamingMoments) -> np.ndarray:
+    """Sample variance, M2 / (count - 1)."""
+    if acc.count < 2:
+        raise ValueError(f"need at least 2 observations, have {acc.count}")
+    return acc.m2 / (acc.count - 1)
 
 
 def merge_chain_axis(acc: StreamingMoments) -> StreamingMoments:
@@ -89,28 +90,31 @@ def _as_chains(trace) -> np.ndarray:
     return trace
 
 
-def split_rhat(trace) -> float:
-    """Potential scale reduction with each chain split in half.
+def _rhat(n, within, means, unmoved):
+    """The one R-hat formula. Sequences of n draws run along axis 0 of the
+    per-sequence variances within and means; with W the mean of within and
+    B = n * var(means), returns sqrt((((n - 1) / n) * W + B / n) / W).
 
-    With n = T // 2 draws per half-chain, W the mean within-half variance
-    and B the between-half variance of means, returns
-    sqrt((((n - 1) / n) * W + B / n) / W).
-    """
+    unmoved is true where every sequence equals its first draw: then R-hat
+    is undefined, however the rounded variances come out."""
+    if np.any(unmoved):
+        raise DegenerateTraceError("no chain moved: zero within-chain variance, R-hat undefined")
+    w = within.mean(axis=0)
+    b = n * means.var(axis=0, ddof=1)
+    return np.sqrt((((n - 1) / n) * w + b / n) / w)
+
+
+def split_rhat(trace) -> float:
+    """Potential scale reduction with each chain split in half: _rhat over
+    the 2C half-chains of n = T // 2 draws each."""
     x = _as_chains(trace)
     t = x.shape[0]
     if t < 4:
         raise ValueError(f"split R-hat needs at least 4 draws, got {t}")
     n = t // 2
-    halves = [x[:n], x[n : 2 * n]]
-    pieces = np.concatenate([h for h in halves], axis=1)  # (n, 2C)
-    within = pieces.var(axis=0, ddof=1)
-    w = within.mean()
-    if w == 0.0:
-        raise DegenerateTraceError("zero within-chain variance, R-hat undefined")
-    means = pieces.mean(axis=0)
-    b = n * means.var(ddof=1)
-    var_hat = ((n - 1) / n) * w + b / n
-    return float(np.sqrt(var_hat / w))
+    pieces = np.concatenate([x[:n], x[n : 2 * n]], axis=1)  # (n, 2C)
+    return float(_rhat(n, pieces.var(axis=0, ddof=1), pieces.mean(axis=0),
+                       np.all(pieces == pieces[0])))
 
 
 def streaming_rhat(acc: StreamingMoments) -> np.ndarray:
@@ -119,18 +123,11 @@ def streaming_rhat(acc: StreamingMoments) -> np.ndarray:
     acc holds (C, P) moments from n draws per chain. Trace retention is not
     required, but a run stuck in the first half of sampling will look better
     here than under split R-hat; prefer the split version when draws exist.
+    A chain's Welford M2 is exactly 0 when it never moved.
     """
-    if acc.count < 2:
-        raise ValueError(f"need at least 2 draws per chain, have {acc.count}")
     if acc.mean.ndim != 2 or acc.mean.shape[0] < 2:
         raise ValueError("streaming R-hat needs (C, P) moments with C >= 2")
-    n = acc.count
-    w = (acc.m2 / (n - 1)).mean(axis=0)
-    if np.any(w == 0.0):
-        raise DegenerateTraceError("zero within-chain variance, R-hat undefined")
-    b = n * acc.mean.var(axis=0, ddof=1)
-    var_hat = ((n - 1) / n) * w + b / n
-    return np.sqrt(var_hat / w)
+    return _rhat(acc.count, variance(acc), acc.mean, np.all(acc.m2 == 0.0, axis=0))
 
 
 def _autocovariances(x: np.ndarray) -> np.ndarray:
@@ -154,11 +151,10 @@ def ess(trace) -> float:
     t, c = x.shape
     if t < 8:
         raise ValueError(f"ESS needs at least 8 draws, got {t}")
+    if np.all(x == x[0]):
+        raise DegenerateTraceError("no chain moved: zero within-chain variance, ESS undefined")
     chain_means = x.mean(axis=0)
-    chain_vars = x.var(axis=0, ddof=1)
-    w = chain_vars.mean()
-    if w == 0.0:
-        raise DegenerateTraceError("zero within-chain variance, ESS undefined")
+    w = x.var(axis=0, ddof=1).mean()
     if c > 1:
         var_hat = w * (t - 1) / t + chain_means.var(ddof=1)
     else:

@@ -41,6 +41,10 @@ from .prng import RandomKey, normal, split, uniform
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# shape and rate of the Gamma prior on tau and on every lamb
+GAMMA_SHAPE = 0.5
+GAMMA_RATE = 0.5
+
 
 class DatasetError(ValueError):
     """Raised for malformed dataset files or invalid dataset arrays."""
@@ -94,10 +98,10 @@ class ConstrainedParams:
     beta: np.ndarray
 
 
-def load_csv_dataset(path, standardize: bool = True) -> Dataset:
+def load_csv_dataset(path) -> Dataset:
     """Load a dataset from CSV: header row, feature columns, last column label.
 
-    Errors carry 1-based row and column positions. By default features are
+    Errors carry 1-based row and column positions. Features are
     standardized (centered, scaled by population std); constant columns
     become all zeros rather than dividing by zero.
     """
@@ -142,14 +146,11 @@ def load_csv_dataset(path, standardize: bool = True) -> Dataset:
     if not rows:
         raise DatasetError(f"{path}: no data rows after the header")
     x = np.array(rows, dtype=np.float64)
-    y = np.array(labels, dtype=np.float64)
-    if standardize:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        x = x - mean
-        nz = std > 0.0
-        x[:, nz] /= std[nz]
-    return Dataset(x, y, feature_names=[h.strip() for h in header[:-1]])
+    std = x.std(axis=0)
+    x = x - x.mean(axis=0)
+    nz = std > 0.0
+    x[:, nz] /= std[nz]
+    return Dataset(x, labels, feature_names=[h.strip() for h in header[:-1]])
 
 
 def generate_synthetic(
@@ -239,20 +240,10 @@ class ModelTarget:
     evaluation ("double" or "single"). Data are stored at that width.
     """
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        prior_gamma_shape: float = 0.5,
-        prior_gamma_rate: float = 0.5,
-        precision: str = "double",
-    ):
-        if prior_gamma_shape <= 0 or prior_gamma_rate <= 0:
-            raise ValueError("gamma prior shape and rate must be positive")
+    def __init__(self, dataset: Dataset, precision: str = "double"):
         if precision not in ("single", "double"):
             raise ValueError(f"precision must be 'single' or 'double', got {precision!r}")
         self.dataset = dataset
-        self.prior_gamma_shape = float(prior_gamma_shape)
-        self.prior_gamma_rate = float(prior_gamma_rate)
         self.precision = precision
         self.dtype = np.float32 if precision == "single" else np.float64
         # rows of x times sign = 2y - 1 (exact), so one matmul gives margins
@@ -261,7 +252,7 @@ class ModelTarget:
         )
         # log normalizer of the Gamma prior, one rounding into working dtype
         self._gamma_const = self.dtype(
-            prior_gamma_shape * math.log(prior_gamma_rate) - gammaln(prior_gamma_shape)
+            GAMMA_SHAPE * math.log(GAMMA_RATE) - gammaln(GAMMA_SHAPE)
         )
         self._normal_const = self.dtype(-0.5 * _LOG_2PI)
 
@@ -302,8 +293,7 @@ class ModelTarget:
         +inf) as u walks off either end of the line.
         """
         u_tau, u_lamb, beta = self._split_state(zb)
-        a = self.dtype(self.prior_gamma_shape)
-        r = self.dtype(self.prior_gamma_rate)
+        a, r = self.dtype(GAMMA_SHAPE), self.dtype(GAMMA_RATE)
         with np.errstate(over="ignore", invalid="ignore"):
             t_tau = self._gamma_const + a * u_tau - r * np.exp(u_tau)
             t_lamb = self._gamma_const + a * u_lamb - r * np.exp(u_lamb)
@@ -325,8 +315,7 @@ class ModelTarget:
         """The analytic gradient, the one copy grad and value_and_grad share."""
         u_tau, u_lamb, beta = self._split_state(zb)
         d = self.num_features
-        a = self.dtype(self.prior_gamma_shape)
-        r = self.dtype(self.prior_gamma_rate)
+        a, r = self.dtype(GAMMA_SHAPE), self.dtype(GAMMA_RATE)
         with np.errstate(over="ignore", invalid="ignore"):
             g = _sign_residuals(margins) @ self._xs  # (C, D)
             grad = np.empty_like(zb)
@@ -424,8 +413,7 @@ def joint_log_prob(target: ModelTarget, params: ConstrainedParams):
         tau, lamb, beta = tau[None], lamb[None, :], beta[None, :]
     if np.any(tau <= 0) or np.any(lamb <= 0):
         raise ValueError("tau and lamb must be strictly positive")
-    a = target.dtype(target.prior_gamma_shape)
-    r = target.dtype(target.prior_gamma_rate)
+    a, r = target.dtype(GAMMA_SHAPE), target.dtype(GAMMA_RATE)
     one = target.dtype(1.0)
     t_tau = target._gamma_const + (a - one) * np.log(tau) - r * tau
     t_lamb = target._gamma_const + (a - one) * np.log(lamb) - r * lamb

@@ -58,6 +58,10 @@ from .prng import (
 # chains per execution chunk; fixed so results never depend on worker count
 LOCKSTEP_CHUNK = 16
 
+# warmup step-size controller: harmonic accept it steers to, and its gain
+TARGET_ACCEPT = 0.8
+LEARNING_RATE = 0.05
+
 
 class LockstepViolationError(RuntimeError):
     """Chains were asked to integrate different trajectory lengths."""
@@ -126,17 +130,12 @@ class ChainBatch:
     def num_chains(self) -> int:
         return self.z.shape[0]
 
-    def check_cache(self, target, atol=0.0):
+    def check_cache(self, target):
         """Debug helper: recompute value/grad (and terms, when cached) and
-        compare with the cache."""
+        compare them exactly with the cache."""
         fresh = target.value_and_grad(self.z, terms=True)
         cached = (self.value, self.grad, self.terms)
-        ok = all(
-            np.allclose(f, c, atol=atol, rtol=0.0)
-            for f, c in zip(fresh, cached)
-            if c is not None
-        )
-        if not ok:
+        if not all(np.array_equal(f, c) for f, c in zip(fresh, cached) if c is not None):
             raise AssertionError("cached value/grad/terms out of sync with states")
 
 
@@ -360,24 +359,15 @@ def hmc_step(
     return new_batch, out
 
 
-def adapt_step_size(
-    step_size: float,
-    accept_probs,
-    target_accept: float = 0.8,
-    learning_rate: float = 0.05,
-) -> float:
+def adapt_step_size(step_size: float, accept_probs) -> float:
     """Multiplicative step-size update driven by the harmonic mean of the
     batch's acceptance probabilities. The harmonic mean is dominated by the
     worst chain, so one stuck chain shrinks the shared step for everyone,
     which is exactly what keeps a lockstep batch alive."""
     if not (step_size > 0.0 and math.isfinite(step_size)):
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
-    if not (0.0 < target_accept < 1.0):
-        raise ValueError(f"target_accept must be in (0, 1), got {target_accept}")
-    if not (learning_rate > 0.0):
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
     hm = diag.harmonic_mean_acceptance(accept_probs)
-    return float(step_size * math.exp(learning_rate * (hm - target_accept)))
+    return float(step_size * math.exp(LEARNING_RATE * (hm - TARGET_ACCEPT)))
 
 
 def estimate_diag_mass(moments: diag.StreamingMoments) -> np.ndarray:
@@ -583,9 +573,10 @@ def run_chains(
 
 @dataclass
 class WarmupInfo:
+    """What the adapted config does not hold; its step_size and mass_diag
+    are the warmup's result."""
+
     phase_steps: tuple[int, int, int]
-    step_size: float
-    mass_diag: np.ndarray
     final_harmonic_accept: float
 
 
@@ -593,18 +584,14 @@ class _StepSizeSearch:
     """Warmup sink that adapts its phase's own config copy in place after
     every iteration and keeps the last StepOutput."""
 
-    def __init__(self, config: HmcConfig, target_accept: float, learning_rate: float):
+    def __init__(self, config: HmcConfig):
         self.config = config
-        self.target_accept = target_accept
-        self.learning_rate = learning_rate
         self.last = None
 
     def record(self, out: StepOutput):
         self.last = out
         probs = diag.accept_probs_from_ratios(out.log_accept_ratio)
-        self.config.step_size = adapt_step_size(
-            self.config.step_size, probs, self.target_accept, self.learning_rate
-        )
+        self.config.step_size = adapt_step_size(self.config.step_size, probs)
 
 
 class _DrawMoments:
@@ -627,8 +614,6 @@ def warmup_adapt(
     root_key: RandomKey,
     num_warmup: int,
     threads: int = 1,
-    target_accept: float = 0.8,
-    learning_rate: float = 0.05,
 ) -> tuple[HmcConfig, ChainBatch, WarmupInfo]:
     """Three-phase warmup: step-size search under identity mass (15%),
     moment collection for the diagonal mass (70%), step-size re-search under
@@ -645,19 +630,13 @@ def warmup_adapt(
     k1, k2, k3 = split(root_key, 3)
 
     searched = replace(config, mass_diag=None)
-    search = _StepSizeSearch(searched, target_accept, learning_rate)
+    search = _StepSizeSearch(searched)
     batch = run_chains(target, searched, z_init, k1, n1, sink=search, threads=threads).final_batch
     moments = _DrawMoments()
     batch = run_chains(target, searched, batch, k2, n2, sink=moments, threads=threads).final_batch
     mass = estimate_diag_mass(moments.moments)
     adapted = replace(config, step_size=searched.step_size, mass_diag=mass)
-    research = _StepSizeSearch(adapted, target_accept, learning_rate)
+    research = _StepSizeSearch(adapted)
     batch = run_chains(target, adapted, batch, k3, n3, sink=research, threads=threads).final_batch
 
-    info = WarmupInfo(
-        phase_steps=(n1, n2, n3),
-        step_size=adapted.step_size,
-        mass_diag=mass,
-        final_harmonic_accept=research.last.harmonic_accept,
-    )
-    return adapted, batch, info
+    return adapted, batch, WarmupInfo((n1, n2, n3), research.last.harmonic_accept)

@@ -119,6 +119,18 @@ def test_sample_usage_errors(tmp_path, capsys):
     run_sample(tmp_path, "one", "gaussian:4", "--chains", "1", "--draws", "16", "--warmup", "20")
 
 
+@pytest.mark.parametrize("retention", ["full", "moments-only"])
+def test_sample_where_no_chain_moves_has_no_rhat(tmp_path, capsys, retention):
+    """Every proposal of a huge step is rejected, so every chain stays at its
+    start: both retentions refuse R-hat alike and write nothing."""
+    out = tmp_path / "stuck"
+    assert main(["sample", "gaussian:4", "--chains", "3", "--draws", "20", "--warmup", "0",
+                 "--no-adapt", "--step-size", "1e6", "--seed", "1",
+                 "--retention", retention, "--output", str(out)]) == 2
+    assert "no chain moved" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grad_check_exit_codes(capsys):
     assert main(["grad-check", "gaussian:8", "--fd-step", "0.01",
                  "--threshold", "1e-8"]) == 0

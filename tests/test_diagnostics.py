@@ -136,6 +136,8 @@ def test_split_rhat_flags_a_drifting_chain():
 def test_split_rhat_errors():
     with pytest.raises(DegenerateTraceError):
         split_rhat(np.ones((100, 4)))
+    with pytest.raises(DegenerateTraceError):
+        split_rhat(np.full((20, 3), 0.1))  # var() of the constant columns rounds above 0
     with pytest.raises(ValueError):
         split_rhat(np.zeros((3, 4)))
 
@@ -199,6 +201,8 @@ def test_ess_errors():
         ess(np.zeros(4))
     with pytest.raises(DegenerateTraceError):
         ess(np.ones(100))
+    with pytest.raises(DegenerateTraceError):
+        ess(np.full((20, 3), 0.1))
 
 
 def test_esjd_by_hand():

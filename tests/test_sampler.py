@@ -205,10 +205,6 @@ def test_adapt_step_size_updates():
 
     with pytest.raises(ValueError):
         adapt_step_size(0.0, [0.5])
-    with pytest.raises(ValueError):
-        adapt_step_size(0.1, [0.5], target_accept=1.0)
-    with pytest.raises(ValueError):
-        adapt_step_size(0.1, [0.5], learning_rate=0.0)
 
 
 def test_divergent_proposal_rejects_and_keeps_cache():

@@ -36,8 +36,7 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def three_phase_loop(target, config, z_init, root_key, num_warmup, threads,
-                     target_accept=0.8, learning_rate=0.05):
+def three_phase_loop(target, config, z_init, root_key, num_warmup, threads):
     """warmup_adapt as it was before its phases ran through run_chains: one
     loop per phase with its own key schedule, one thread pool for all three.
     Returns (step size, mass, final batch, final harmonic accept)."""
@@ -57,8 +56,7 @@ def three_phase_loop(target, config, z_init, root_key, num_warmup, threads,
                 batch, out = hmc_step(target, cfg, batch, per_chain, jitter_stream[t], pool=pool)
                 if adapt_eps:
                     probs = diag.accept_probs_from_ratios(out.log_accept_ratio)
-                    cfg.step_size = adapt_step_size(cfg.step_size, probs, target_accept,
-                                                    learning_rate)
+                    cfg.step_size = adapt_step_size(cfg.step_size, probs)
                 if collect:
                     if moments is None:
                         moments = diag.welford_init(batch.z.shape)
@@ -87,8 +85,8 @@ def test_warmup_adapt_matches_the_three_phase_loop(threads, precision, stable):
     eps, mass, want, hm = three_phase_loop(target, cfg, z0, k_warm, 40, threads)
     adapted, got, info = warmup_adapt(target, cfg, z0, k_warm, 40, threads=threads)
 
-    assert adapted.step_size == eps == info.step_size
-    assert same_bits(adapted.mass_diag, mass) and same_bits(info.mass_diag, mass)
+    assert adapted.step_size == eps
+    assert same_bits(adapted.mass_diag, mass)
     assert info.final_harmonic_accept == hm
     assert cfg.step_size == 0.1 and cfg.mass_diag is None  # the caller's config is untouched
     for field in ("z", "value", "grad", "terms"):
