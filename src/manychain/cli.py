@@ -110,18 +110,21 @@ def _fmt(v) -> str:
 
 def write_trace_csv(path, param_names, z_trace, is_accepted, log_accept_ratios):
     """Trace rows grouped by chain: chain, draw, P params, is_accepted (0/1),
-    log_accept_ratio. Floats use shortest round-trip formatting."""
-    t, c, p = z_trace.shape
+    log_accept_ratio. Floats use shortest round-trip formatting: each row is
+    the repr of a list of Python ints and floats, less brackets and spaces."""
+    z = np.asarray(z_trace, dtype=np.float64)
+    accepted = np.asarray(is_accepted, dtype=bool).astype(np.int8)
+    ratios = np.asarray(log_accept_ratios, dtype=np.float64)
     with open(path, "w") as fh:
         fh.write(",".join(["chain", "draw"] + list(param_names)
                           + ["is_accepted", "log_accept_ratio"]) + "\n")
-        for ci in range(c):
-            for ti in range(t):
-                cells = [str(ci), str(ti)]
-                cells += [_fmt(v) for v in z_trace[ti, ci]]
-                cells.append("1" if is_accepted[ti, ci] else "0")
-                cells.append(_fmt(log_accept_ratios[ti, ci]))
-                fh.write(",".join(cells) + "\n")
+        # one chain's rows at a time, so only they are ever Python floats
+        for ci in range(z.shape[1]):
+            rows = zip(z[:, ci].tolist(), accepted[:, ci].tolist(), ratios[:, ci].tolist())
+            fh.writelines(
+                repr([ci, ti, *row, a, r])[1:-1].replace(", ", ",") + "\n"
+                for ti, (row, a, r) in enumerate(rows)
+            )
 
 
 def read_trace_csv(path):

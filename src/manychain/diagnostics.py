@@ -113,8 +113,13 @@ def split_rhat(trace) -> float:
         raise ValueError(f"split R-hat needs at least 4 draws, got {t}")
     n = t // 2
     pieces = np.concatenate([x[:n], x[n : 2 * n]], axis=1)  # (n, 2C)
-    return float(_rhat(n, pieces.var(axis=0, ddof=1), pieces.mean(axis=0),
-                       np.all(pieces == pieces[0])))
+    unmoved = np.all(pieces == pieces[0])
+    if unmoved and not np.all(x == x[0]):
+        raise DegenerateTraceError(
+            "every half-chain is constant: zero within-half-chain variance, "
+            "split R-hat undefined"
+        )
+    return float(_rhat(n, pieces.var(axis=0, ddof=1), pieces.mean(axis=0), unmoved))
 
 
 def streaming_rhat(acc: StreamingMoments) -> np.ndarray:

@@ -26,6 +26,12 @@ same code log_prob_ratio runs.
 
 grad(z) is the gradient alone, bitwise equal to value_and_grad(z)[1]: the
 gradient code exists once and both call it.
+
+A (C, P) batch evaluates as a whole except for the per-observation (C, N)
+pipeline, which runs BLOCK_ROWS rows at a time from row 0: gemm rounds
+differently at other row counts, so the blocks keep every row's bits
+independent of C and of the sampler's per-worker ranges, which start on
+block multiples.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ from scipy.special import expit, gammaln
 from .prng import RandomKey, normal, split, uniform
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# rows per BLAS product; fixed so no row's bits depend on the batch size
+BLOCK_ROWS = 16
 
 # shape and rate of the Gamma prior on tau and on every lamb
 GAMMA_SHAPE = 0.5
@@ -223,9 +232,14 @@ def _as_batch(z) -> tuple[np.ndarray, bool]:
     raise ValueError(f"state must be 1- or 2-dimensional, got shape {z.shape}")
 
 
-def _bernoulli_terms(margins):
+def _bernoulli_terms(margins, out=None):
     """log p(y | logit) at margins m = sign * logit: <= 0, NaN only for NaN m."""
-    return np.minimum(margins, 0) - np.log1p(np.exp(-np.abs(margins)))
+    return np.subtract(np.minimum(margins, 0), np.log1p(np.exp(-np.abs(margins))), out=out)
+
+
+def _blocks(num_rows: int):
+    """Row slices of BLOCK_ROWS rows from row 0; the last may be shorter."""
+    return [slice(lo, lo + BLOCK_ROWS) for lo in range(0, num_rows, BLOCK_ROWS)]
 
 
 def _sign_residuals(margins):
@@ -274,32 +288,46 @@ class ModelTarget:
             raise ValueError(f"state must have {self.dim} entries, got {zb.shape[1]}")
         return zb[:, 0], zb[:, 1 : 1 + d], zb[:, 1 + d :]
 
-    def _margins(self, zb):
-        """(C, N) margins for the terms and the gradient, scale, coefs."""
+    def _evaluate(self, zb, terms: bool, grad: bool):
+        """The one evaluation, returning (terms or None, grad or None).
+
+        terms holds every additive piece of the log density, one row per
+        state: [t_tau, t_lamb (D), t_beta (D), t_obs (N)], so (C, P + N).
+        Gamma(a, r) on v = exp(u) plus the du contribution collapses to
+        a*log r - lgamma(a) + a*u - r*exp(u), which stays -inf (never NaN or
+        +inf) as u walks off either end of the line. grad is the analytic
+        gradient.
+
+        The (C, N) pipeline (margins, Bernoulli terms, residuals times x)
+        runs block by block, so a block's margins stay in cache.
+        """
         u_tau, u_lamb, beta = self._split_state(zb)
+        c, d, p = len(zb), self.num_features, self.dim
+        a, r = self.dtype(GAMMA_SHAPE), self.dtype(GAMMA_RATE)
+        t = np.empty((c, p + len(self._xs)), dtype=self.dtype) if terms else None
+        g = np.empty((c, d), dtype=self.dtype) if grad else None
         # overflow to inf is fine: an overflowed scale is dead by prior and
         # the caller masks the whole state
         with np.errstate(over="ignore", invalid="ignore"):
             scale = np.exp(u_tau[:, None] + u_lamb)  # tau * lamb in one exp
             coefs = scale * beta
-            return coefs @ self._xs.T, scale, coefs
-
-    def _terms(self, zb, margins):
-        """Every additive piece of the log density, one row per state:
-        [t_tau, t_lamb (D), t_beta (D), t_obs (N)], so (C, P + N).
-
-        Gamma(a, r) on v = exp(u) plus the du contribution collapses to
-        a*log r - lgamma(a) + a*u - r*exp(u), which stays -inf (never NaN or
-        +inf) as u walks off either end of the line.
-        """
-        u_tau, u_lamb, beta = self._split_state(zb)
-        a, r = self.dtype(GAMMA_SHAPE), self.dtype(GAMMA_RATE)
-        with np.errstate(over="ignore", invalid="ignore"):
-            t_tau = self._gamma_const + a * u_tau - r * np.exp(u_tau)
-            t_lamb = self._gamma_const + a * u_lamb - r * np.exp(u_lamb)
-            t_beta = self._normal_const - self.dtype(0.5) * beta * beta
-            t_obs = _bernoulli_terms(margins)
-        return np.concatenate([t_tau[:, None], t_lamb, t_beta, t_obs], axis=1)
+            for rows in _blocks(c):
+                margins = coefs[rows] @ self._xs.T
+                if terms:
+                    _bernoulli_terms(margins, out=t[rows, p:])
+                if grad:
+                    np.matmul(_sign_residuals(margins), self._xs, out=g[rows])
+            if terms:
+                t[:, 0] = self._gamma_const + a * u_tau - r * np.exp(u_tau)
+                t[:, 1 : 1 + d] = self._gamma_const + a * u_lamb - r * np.exp(u_lamb)
+                t[:, 1 + d : p] = self._normal_const - self.dtype(0.5) * beta * beta
+            if grad:
+                out = np.empty_like(zb)
+                out[:, 0] = (a - r * np.exp(u_tau)) + (coefs * g).sum(axis=1)
+                out[:, 1 : 1 + d] = (a - r * np.exp(u_lamb)) + coefs * g
+                out[:, 1 + d :] = -beta + scale * g
+                g = out
+        return t, g
 
     def _prior_scale_sum(self, terms):
         return terms[:, 0] + terms[:, 1 : 1 + self.num_features].sum(axis=1)
@@ -311,23 +339,10 @@ class ModelTarget:
         # a scale that overflowed exp() is dead by prior; never report NaN
         return np.where(np.isfinite(prior), total, self.dtype(-np.inf))
 
-    def _grad(self, zb, margins, scale, coefs):
-        """The analytic gradient, the one copy grad and value_and_grad share."""
-        u_tau, u_lamb, beta = self._split_state(zb)
-        d = self.num_features
-        a, r = self.dtype(GAMMA_SHAPE), self.dtype(GAMMA_RATE)
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = _sign_residuals(margins) @ self._xs  # (C, D)
-            grad = np.empty_like(zb)
-            grad[:, 0] = (a - r * np.exp(u_tau)) + (coefs * g).sum(axis=1)
-            grad[:, 1 : 1 + d] = (a - r * np.exp(u_lamb)) + coefs * g
-            grad[:, 1 + d :] = -beta + scale * g
-        return grad
-
     def log_prob(self, z):
         """Unconstrained log density (prior + likelihood + log-det-Jacobian)."""
         zb, single = self._prepare(z)
-        out = self._value(self._terms(zb, self._margins(zb)[0]))
+        out = self._value(self._evaluate(zb, terms=True, grad=False)[0])
         return out[0] if single else out
 
     def grad(self, z):
@@ -337,7 +352,7 @@ class ModelTarget:
         value, which is why interior leapfrog steps call this.
         """
         zb, single = self._prepare(z)
-        grad = self._grad(zb, *self._margins(zb))
+        grad = self._evaluate(zb, terms=False, grad=True)[1]
         return grad[0] if single else grad
 
     def value_and_grad(self, z, terms=False):
@@ -349,9 +364,8 @@ class ModelTarget:
         terms_ratio.
         """
         zb, single = self._prepare(z)
-        margins, scale, coefs = self._margins(zb)
-        t = self._terms(zb, margins)
-        out = (self._value(t), self._grad(zb, margins, scale, coefs)) + ((t,) if terms else ())
+        t, grad = self._evaluate(zb, terms=True, grad=True)
+        out = (self._value(t), grad) + ((t,) if terms else ())
         return tuple(a[0] for a in out) if single else out
 
     def log_prob_ratio(self, z_new, z_old):
@@ -367,7 +381,8 @@ class ModelTarget:
         if zn.shape != zo.shape:
             raise ValueError(f"state shapes differ: {zn.shape} vs {zo.shape}")
         ratio = self.terms_ratio(
-            self._terms(zn, self._margins(zn)[0]), self._terms(zo, self._margins(zo)[0])
+            self._evaluate(zn, terms=True, grad=False)[0],
+            self._evaluate(zo, terms=True, grad=False)[0],
         )
         return ratio[0] if (single_n and single_o) else ratio
 

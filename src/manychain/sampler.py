@@ -21,10 +21,14 @@ as one (C, 2) key array (prng.key_array). The fold-in, the split of each
 chain's key and the chain's momentum and accept draws are three array calls
 for all chains together, and give the bits the one-key prng functions give.
 
-Runs are bitwise reproducible from (seed, config): chains are processed in
-fixed chunks whose layout does not depend on the worker count, and every
-cross-chain reduction happens in the coordinator in a fixed order, so
---threads N reproduces --threads 1 exactly.
+Each worker integrates its share of the batch as whole arrays: hmc_step
+splits the C chains into one contiguous range per worker (one range, all
+chains, on one thread), and _leapfrog, its evaluations and the stable-ratio
+terms run once per range. Runs are bitwise reproducible from (seed, config):
+every range starts on a multiple of model.BLOCK_ROWS, the rows the target's
+BLAS products take at a time, so a row's arithmetic does not depend on the
+worker count, and every cross-chain reduction happens in the coordinator in
+a fixed order, so --threads N reproduces --threads 1 exactly.
 
 Interior leapfrog steps evaluate only the gradient; the density value, and
 the per-term pieces the stable ratio differences, are evaluated once per
@@ -45,6 +49,7 @@ from time import perf_counter
 import numpy as np
 
 from . import diagnostics as diag
+from . import model
 from .prng import (
     RandomKey,
     fold_in_each,
@@ -54,9 +59,6 @@ from .prng import (
     split,
     split_each,
 )
-
-# chains per execution chunk; fixed so results never depend on worker count
-LOCKSTEP_CHUNK = 16
 
 # warmup step-size controller: harmonic accept it steers to, and its gain
 TARGET_ACCEPT = 0.8
@@ -224,11 +226,14 @@ def draw_trajectory_length(jitter_key: RandomKey, base_steps: int, jitter: bool)
     return int(randint(jitter_key, 1, 1 + 2 * base_steps))
 
 
-def _chunk_ranges(num_chains: int):
-    return [
-        (lo, min(lo + LOCKSTEP_CHUNK, num_chains))
-        for lo in range(0, num_chains, LOCKSTEP_CHUNK)
-    ]
+def _worker_ranges(num_chains: int, threads: int):
+    """At most threads contiguous (lo, hi) chain ranges covering
+    [0, num_chains), each starting on a multiple of model.BLOCK_ROWS and
+    holding a near-equal share of the blocks."""
+    blocks = -(-num_chains // model.BLOCK_ROWS)
+    n = min(threads, blocks)
+    bounds = [model.BLOCK_ROWS * (i * blocks // n) for i in range(n)] + [num_chains]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _chain_draws(step_keys: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,6 +254,7 @@ def hmc_step(
     jitter_key: RandomKey,
     length_fn=None,
     pool=None,
+    threads: int = 1,
 ) -> tuple[ChainBatch, StepOutput]:
     """Advance every chain by one jittered HMC iteration.
 
@@ -259,6 +265,9 @@ def hmc_step(
     length_fn is a test hook replacing the trajectory-length draw; if it
     hands back per-chain lengths that are not all equal the step raises
     LockstepViolationError instead of silently desynchronizing the batch.
+    The chains split into at most threads ranges (_worker_ranges), which
+    pool, when given, integrates in one map; the result does not depend on
+    either.
     """
     c, p = batch.z.shape
     step_keys = key_array(step_keys)
@@ -292,7 +301,7 @@ def hmc_step(
         m0 = m0 * sqrt_mass
 
     eps = dtype(config.step_size)
-    chunks = _chunk_ranges(c)
+    ranges = _worker_ranges(c, threads)
 
     def integrate(bounds):
         lo, hi = bounds
@@ -311,15 +320,15 @@ def hmc_step(
             ratio = target.terms_ratio(t1, t0)
         return z1, m1, v1, g1, t0, t1, ratio
 
-    if pool is not None and len(chunks) > 1:
-        results = list(pool.map(integrate, chunks))
+    if pool is not None and len(ranges) > 1:
+        results = list(pool.map(integrate, ranges))
     else:
-        results = [integrate(b) for b in chunks]
+        results = [integrate(b) for b in ranges]
 
-    columns = list(zip(*results))
-    z1, m1, value1, grad1 = (np.concatenate(col) for col in columns[:4])
-    if config.stable_ratio:
-        terms0, terms1, terms_ratio = (np.concatenate(col) for col in columns[4:])
+    z1, m1, value1, grad1, terms0, terms1, terms_ratio = (
+        col[0] if len(col) == 1 or col[0] is None else np.concatenate(col)
+        for col in zip(*results)
+    )
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         if config.stable_ratio:
@@ -549,7 +558,9 @@ def run_chains(
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for per_chain, jitter_key in iteration_keys(root_key, num_steps, c):
-            batch, out = hmc_step(target, config, batch, per_chain, jitter_key, pool=pool)
+            batch, out = hmc_step(
+                target, config, batch, per_chain, jitter_key, pool=pool, threads=threads
+            )
             if sink is not None:
                 sink.record(out)
             accept_total += int(out.is_accepted.sum())

@@ -95,7 +95,7 @@ def test_sample_byte_identical_reruns_and_threads(tmp_path):
     ]
     a = run_sample(tmp_path, "a", *args, "--threads", "1")
     b = run_sample(tmp_path, "b", *args, "--threads", "1")
-    c = run_sample(tmp_path, "c", *args, "--threads", "2")  # two chunks of 16
+    c = run_sample(tmp_path, "c", *args, "--threads", "2")  # two ranges: 16 + 4 chains
     trace = (a / "trace.csv").read_bytes()
     assert trace == (b / "trace.csv").read_bytes()
     assert trace == (c / "trace.csv").read_bytes()
@@ -251,6 +251,40 @@ def test_trace_csv_round_trip(tmp_path):
     bad.write_text("x,y\n1,2\n")
     with pytest.raises(ValueError, match="not a trace CSV"):
         read_trace_csv(bad)
+
+
+def per_cell_trace_csv(path, param_names, z_trace, is_accepted, log_accept_ratios):
+    """The trace layout written one cell at a time, repr(float(v)) a float."""
+    t, c, _ = z_trace.shape
+    with open(path, "w") as fh:
+        fh.write(",".join(["chain", "draw", *param_names, "is_accepted", "log_accept_ratio"])
+                 + "\n")
+        for ci in range(c):
+            for ti in range(t):
+                cells = [str(ci), str(ti)] + [repr(float(v)) for v in z_trace[ti, ci]]
+                cells.append("1" if is_accepted[ti, ci] else "0")
+                cells.append(repr(float(log_accept_ratios[ti, ci])))
+                fh.write(",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_trace_csv_bytes_match_a_per_cell_writer(tmp_path, dtype):
+    rng = np.random.default_rng(31)
+    z = rng.normal(size=(12, 11, 3)) * 10.0 ** rng.integers(-8, 8, size=(12, 11, 3))
+    z[0, 0] = [-0.0, 5e-324, 1e300]
+    z[1, 2] = [-1e300, 0.1, 1.0]
+    ratios = rng.normal(size=(12, 11))
+    ratios[[2, 5, 7], [0, 10, 3]] = -np.inf
+    ratios[3, 4] = -0.0
+    ratios[4, 4] = 5e-324
+    acc = ratios > 0.0
+    with np.errstate(over="ignore"):
+        z = z.astype(dtype)  # 1e300 becomes inf in float32
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_trace_csv(new, ["a", "b", "c"], z, acc, ratios)
+    per_cell_trace_csv(old, ["a", "b", "c"], z, acc, ratios)
+    assert new.read_bytes() == old.read_bytes()
+    assert b"-inf" in new.read_bytes() and b",-0.0," in new.read_bytes()
 
 
 def test_bench_csv_round_trip(tmp_path):

@@ -136,8 +136,12 @@ def test_split_rhat_flags_a_drifting_chain():
 def test_split_rhat_errors():
     with pytest.raises(DegenerateTraceError):
         split_rhat(np.ones((100, 4)))
-    with pytest.raises(DegenerateTraceError):
+    with pytest.raises(DegenerateTraceError, match="no chain moved"):
         split_rhat(np.full((20, 3), 0.1))  # var() of the constant columns rounds above 0
+    # every chain moved once, at the split: the half-chains, not the chains, are constant
+    with pytest.raises(DegenerateTraceError, match="every half-chain is constant") as info:
+        split_rhat(np.r_[np.zeros((10, 3)), np.ones((10, 3))])
+    assert "no chain moved" not in str(info.value)
     with pytest.raises(ValueError):
         split_rhat(np.zeros((3, 4)))
 

@@ -181,7 +181,7 @@ def test_stable_ratio_cache_matches_log_prob_ratio(monkeypatch):
         keys = [fold_in(fold_in(steps, t), i) for i in range(chains)]
         batch, out = hmc_step(target, cfg, batch, keys, fold_in(jitters, t))
         expected = []
-        for z0, m0, z1, m1 in calls:  # one call per chunk, in chain order
+        for z0, m0, z1, m1 in calls:  # one call per worker range, in chain order
             kin = (0.5 * ((m0 * m0) - (m1 * m1))).sum(axis=1)
             ok = np.all(np.isfinite(z1), axis=1)
             ratio = target.log_prob_ratio(np.where(ok[:, None], z1, z0), z0)

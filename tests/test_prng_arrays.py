@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+import manychain.model as model
 import manychain.sampler as sampler
 from manychain.cli import main
 from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
@@ -257,17 +258,17 @@ def test_hmc_step_takes_key_arrays_and_lists_alike(precision, stable):
         hmc_step(target, cfg, batch, keys[:18], k_jitter)
 
 
-def gaussian_trace(chains, chunk=sampler.LOCKSTEP_CHUNK, threads=1):
+def gaussian_trace(chains, chunk=model.BLOCK_ROWS, threads=1):
     target = GaussianTarget(3)
     cfg = HmcConfig(step_size=0.4, num_leapfrog_steps=3)
     z0 = np.asarray(normal(key_from_seed(12), [chains, 3]))
     sink = TraceSink()
-    saved = sampler.LOCKSTEP_CHUNK
-    sampler.LOCKSTEP_CHUNK = chunk
+    saved = model.BLOCK_ROWS
+    model.BLOCK_ROWS = chunk
     try:
         run_chains(target, cfg, z0, key_from_seed(13), 5, sink=sink, threads=threads)
     finally:
-        sampler.LOCKSTEP_CHUNK = saved
+        model.BLOCK_ROWS = saved
     return sink.z_trace(), sink.log_accept_ratios()
 
 

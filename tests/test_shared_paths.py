@@ -53,7 +53,8 @@ def three_phase_loop(target, config, z_init, root_key, num_warmup, threads):
             chain_ids = np.arange(batch.num_chains)
             for t in range(steps):
                 per_chain = fold_in_each(step_stream[t], chain_ids)
-                batch, out = hmc_step(target, cfg, batch, per_chain, jitter_stream[t], pool=pool)
+                batch, out = hmc_step(target, cfg, batch, per_chain, jitter_stream[t],
+                                      pool=pool, threads=threads)
                 if adapt_eps:
                     probs = diag.accept_probs_from_ratios(out.log_accept_ratio)
                     cfg.step_size = adapt_step_size(cfg.step_size, probs)

@@ -1,0 +1,99 @@
+"""Whole-batch evaluation and per-worker chain ranges.
+
+The target evaluates a (C, P) batch as a whole except for its BLAS
+products, which run model.BLOCK_ROWS rows at a time from row 0. Every row's
+bits then depend neither on C nor on where the sampler's worker ranges
+split the batch, so threads, chain counts and cache recomputations agree
+bit for bit."""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from manychain import model
+from manychain.cli import main
+from manychain.model import ModelTarget, generate_synthetic
+from manychain.prng import key_from_seed, normal, split
+from manychain.sampler import HmcConfig, _worker_ranges, run_chains
+
+CHAIN_COUNTS = [1, 15, 16, 17, 33, 48, 64, 256]
+
+
+@functools.cache
+def regression_target(precision):
+    """The 1000-row, 24-feature dataset the benchmark and criterion 1 use."""
+    ds = generate_synthetic(split(key_from_seed(5), 2)[0], 1000, 24, 0.25)
+    return ModelTarget(ds, precision=precision)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def blockwise(evaluate, z):
+    """evaluate on each BLOCK_ROWS-row block of z alone, outputs stacked."""
+    parts = [evaluate(z[lo : lo + model.BLOCK_ROWS])
+             for lo in range(0, len(z), model.BLOCK_ROWS)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("chains", CHAIN_COUNTS)
+def test_batch_is_bitwise_its_blocks(precision, chains):
+    target = regression_target(precision)
+    z = 0.3 * np.asarray(normal(key_from_seed(chains), [chains, target.dim]))
+    whole = target.value_and_grad(z, terms=True)
+    blocks = blockwise(lambda zb: target.value_and_grad(zb, terms=True), z)
+    for w, b in zip(whole, blocks):
+        assert same_bits(w, b)
+    assert same_bits(target.grad(z), blockwise(target.grad, z))
+    assert same_bits(target.log_prob(z), blockwise(target.log_prob, z))
+
+
+@given(chains=st.integers(1, 600), threads=st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_worker_ranges_cover_the_batch_on_block_starts(chains, threads):
+    ranges = _worker_ranges(chains, threads)
+    blocks = -(-chains // model.BLOCK_ROWS)
+    assert len(ranges) == min(threads, blocks)
+    assert ranges[0][0] == 0 and ranges[-1][1] == chains
+    for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]):
+        assert hi == next_lo
+    for lo, hi in ranges:
+        assert lo < hi and lo % model.BLOCK_ROWS == 0
+    sizes = [-(-(hi - lo) // model.BLOCK_ROWS) for lo, hi in ranges]
+    assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("chains", [16, 20, 32, 48, 64])
+def test_check_cache_holds_after_a_stable_ratio_run(precision, chains):
+    """The cache a run fills range by range equals a whole-batch
+    recomputation, bit for bit, at any chain count."""
+    target = regression_target(precision)
+    k_init, k_run = split(key_from_seed(chains), 2)
+    z0 = 0.3 * np.asarray(normal(k_init, [chains, target.dim]))
+    cfg = HmcConfig(step_size=0.01, num_leapfrog_steps=3, stable_ratio=True)
+    summary = run_chains(target, cfg, z0, k_run, 3)
+    assert summary.final_batch.terms is not None
+    summary.final_batch.check_cache(target)
+
+
+@pytest.mark.parametrize("chains", [64, 100])
+def test_sample_writes_the_same_bytes_at_any_thread_count(tmp_path, chains):
+    args = ["sample", "synthetic:1000,24,0.25", "--chains", str(chains), "--draws", "8",
+            "--warmup", "15", "--leapfrog-steps", "3", "--step-size", "0.05", "--seed", "21"]
+    outs = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / f"t{threads}"
+        assert main(args + ["--threads", threads, "--output", str(out)]) == 0
+        outs.append(out)
+    for name in ("trace.csv", "diagnostics.json"):
+        first = (outs[0] / name).read_bytes()
+        assert all((out / name).read_bytes() == first for out in outs[1:])
