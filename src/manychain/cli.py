@@ -157,11 +157,6 @@ def write_diagnostics_json(path, report: diag.DiagnosticsReport):
         fh.write("\n")
 
 
-def read_diagnostics_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def write_bench_csv(path, rows):
     with open(path, "w") as fh:
         fh.write("chains,wall_seconds,draws_per_second\n")
@@ -227,10 +222,9 @@ def cmd_sample(args) -> int:
                          sink=sink, threads=args.threads)
 
     if args.retention == "full":
-        tau_trace = None
-        if isinstance(target, ModelTarget):
-            tau_trace = np.exp(sink.z_trace()[:, :, 0])
-        report = sink.report(tau_trace=tau_trace)
+        z_trace, ratios = sink.z_trace(), sink.log_accept_ratios()
+        tau_trace = np.exp(z_trace[:, :, 0]) if isinstance(target, ModelTarget) else None
+        report = diag.report_from_trace(z_trace, ratios, tau_trace)
     else:
         report = sink.report()
 
@@ -240,15 +234,14 @@ def cmd_sample(args) -> int:
     written = [json_path]
     if args.retention == "full":
         csv_path = os.path.join(args.output, "trace.csv")
-        write_trace_csv(csv_path, target.param_names(), sink.z_trace(),
-                        sink.is_accepted(), sink.log_accept_ratios())
+        write_trace_csv(csv_path, target.param_names(), z_trace, sink.is_accepted(), ratios)
         written.append(csv_path)
 
     print(f"model={args.model}  chains={args.chains}  draws={args.draws}  "
           f"precision={args.precision}  jitter={'on' if args.jitter else 'off'}")
     print(warm_note)
     print(f"accept: mean={summary.accept_rate:.3f}  "
-          f"harmonic={summary.harmonic_accept:.3f}")
+          f"harmonic={report.mean_accept_harmonic:.3f}")
     line = f"R-hat: max={max(report.rhat):.4f}"
     if report.ess is not None:
         line += f"  ESS: min={min(report.ess):.0f} median={float(np.median(report.ess)):.0f}"

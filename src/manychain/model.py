@@ -16,6 +16,14 @@ Bernoulli terms take the margin m = sign * logit (sign = 2y - 1), one matmul
 per evaluation: log p(y | logit) = min(m, 0) - log1p(exp(-|m|)), and the
 gradient residual y - sigmoid(logit) = sign / (1 + exp(m)).
 
+The base class Target checks states (dtype cast, finiteness, shape, width)
+and writes log_prob, grad, value_and_grad and log_prob_ratio once; a target
+(ModelTarget, GaussianTarget) supplies dim, param_names() and three hooks on
+a checked (C, P) batch: _evaluate(zb, terms, grad), the one evaluation, which
+returns the per-term pieces and the gradient as asked; _value(terms), which
+sums the pieces into the density; and terms_ratio(new, old), which
+differences two states' pieces before summing.
+
 log_prob_ratio computes log p(z_new) - log p(z_old) by differencing the two
 states per prior term and per observation BEFORE summing. In single
 precision this sidesteps the catastrophic loss that hits the naive
@@ -247,19 +255,90 @@ def _sign_residuals(margins):
     return 1 / (1 + np.exp(margins))
 
 
-class ModelTarget:
-    """Sparse logistic regression posterior over the unconstrained state.
+class Target:
+    """A batched log density over an unconstrained state of dim entries.
+
+    The checked API (log_prob, grad, value_and_grad, log_prob_ratio) is
+    written once here. A subclass sets dim and supplies param_names() and
+    three hooks on a checked (C, dim) batch: _evaluate, _value and
+    terms_ratio.
 
     precision selects the arithmetic width of every density and gradient
-    evaluation ("double" or "single"). Data are stored at that width.
+    evaluation ("double" or "single").
+    """
+
+    def __init__(self, precision: str = "double"):
+        if precision not in ("single", "double"):
+            raise ValueError(f"precision must be 'single' or 'double', got {precision!r}")
+        self.precision = precision
+        self.dtype = np.float32 if precision == "single" else np.float64
+
+    def _prepare(self, z):
+        z = np.asarray(z, dtype=self.dtype)
+        if not np.all(np.isfinite(z)):
+            raise ValueError("state contains non-finite entries")
+        zb, single = _as_batch(z)
+        if zb.shape[1] != self.dim:
+            raise ValueError(f"state must have {self.dim} entries, got {zb.shape[1]}")
+        return zb, single
+
+    def log_prob(self, z):
+        """Log density of a (P,) state, or of every row of a (C, P) batch."""
+        zb, single = self._prepare(z)
+        out = self._value(self._evaluate(zb, terms=True, grad=False)[0])
+        return out[0] if single else out
+
+    def grad(self, z):
+        """Gradient of log_prob alone, bitwise equal to value_and_grad(z)[1].
+
+        Evaluates no terms (for the regression model, most of the cost of a
+        value), which is why interior leapfrog steps call this.
+        """
+        zb, single = self._prepare(z)
+        grad = self._evaluate(zb, terms=False, grad=True)[1]
+        return grad[0] if single else grad
+
+    def value_and_grad(self, z, terms=False):
+        """Log density and its analytic gradient, one shared evaluation.
+
+        The value is computed through exactly the same operations as
+        log_prob, so the two agree bit for bit. With terms=True the per-term
+        pieces the value was summed from come back third, ready for
+        terms_ratio.
+        """
+        zb, single = self._prepare(z)
+        t, grad = self._evaluate(zb, terms=True, grad=True)
+        out = (self._value(t), grad) + ((t,) if terms else ())
+        return tuple(a[0] for a in out) if single else out
+
+    def log_prob_ratio(self, z_new, z_old):
+        """log p(z_new) - log p(z_old), differenced term by term.
+
+        Every additive term is subtracted between the two states before
+        anything is summed (terms_ratio), so the small true ratio is never
+        recovered from two large, independently rounded totals. The ratio of
+        a state with itself is exactly 0.0.
+        """
+        zn, single_n = self._prepare(z_new)
+        zo, single_o = self._prepare(z_old)
+        if zn.shape != zo.shape:
+            raise ValueError(f"state shapes differ: {zn.shape} vs {zo.shape}")
+        ratio = self.terms_ratio(
+            self._evaluate(zn, terms=True, grad=False)[0],
+            self._evaluate(zo, terms=True, grad=False)[0],
+        )
+        return ratio[0] if (single_n and single_o) else ratio
+
+
+class ModelTarget(Target):
+    """Sparse logistic regression posterior over the unconstrained state.
+
+    Data are stored at the precision's width.
     """
 
     def __init__(self, dataset: Dataset, precision: str = "double"):
-        if precision not in ("single", "double"):
-            raise ValueError(f"precision must be 'single' or 'double', got {precision!r}")
+        super().__init__(precision)
         self.dataset = dataset
-        self.precision = precision
-        self.dtype = np.float32 if precision == "single" else np.float64
         # rows of x times sign = 2y - 1 (exact), so one matmul gives margins
         self._xs = np.ascontiguousarray(
             dataset.x * (2.0 * dataset.y - 1.0)[:, None], dtype=self.dtype
@@ -282,12 +361,6 @@ class ModelTarget:
         d = self.dataset.num_features
         return ["u_tau"] + [f"u_lamb_{j}" for j in range(d)] + [f"beta_{j}" for j in range(d)]
 
-    def _split_state(self, zb):
-        d = self.dataset.num_features
-        if zb.shape[1] != self.dim:
-            raise ValueError(f"state must have {self.dim} entries, got {zb.shape[1]}")
-        return zb[:, 0], zb[:, 1 : 1 + d], zb[:, 1 + d :]
-
     def _evaluate(self, zb, terms: bool, grad: bool):
         """The one evaluation, returning (terms or None, grad or None).
 
@@ -301,8 +374,8 @@ class ModelTarget:
         The (C, N) pipeline (margins, Bernoulli terms, residuals times x)
         runs block by block, so a block's margins stay in cache.
         """
-        u_tau, u_lamb, beta = self._split_state(zb)
         c, d, p = len(zb), self.num_features, self.dim
+        u_tau, u_lamb, beta = zb[:, 0], zb[:, 1 : 1 + d], zb[:, 1 + d :]
         a, r = self.dtype(GAMMA_SHAPE), self.dtype(GAMMA_RATE)
         t = np.empty((c, p + len(self._xs)), dtype=self.dtype) if terms else None
         g = np.empty((c, d), dtype=self.dtype) if grad else None
@@ -339,53 +412,6 @@ class ModelTarget:
         # a scale that overflowed exp() is dead by prior; never report NaN
         return np.where(np.isfinite(prior), total, self.dtype(-np.inf))
 
-    def log_prob(self, z):
-        """Unconstrained log density (prior + likelihood + log-det-Jacobian)."""
-        zb, single = self._prepare(z)
-        out = self._value(self._evaluate(zb, terms=True, grad=False)[0])
-        return out[0] if single else out
-
-    def grad(self, z):
-        """Gradient of log_prob alone, bitwise equal to value_and_grad(z)[1].
-
-        Skips the per-observation likelihood terms, most of the cost of a
-        value, which is why interior leapfrog steps call this.
-        """
-        zb, single = self._prepare(z)
-        grad = self._evaluate(zb, terms=False, grad=True)[1]
-        return grad[0] if single else grad
-
-    def value_and_grad(self, z, terms=False):
-        """Log density and its analytic gradient, one shared evaluation.
-
-        The value is computed through exactly the same operations as
-        log_prob, so the two agree bit for bit. With terms=True the per-term
-        pieces the value was summed from come back third, ready for
-        terms_ratio.
-        """
-        zb, single = self._prepare(z)
-        t, grad = self._evaluate(zb, terms=True, grad=True)
-        out = (self._value(t), grad) + ((t,) if terms else ())
-        return tuple(a[0] for a in out) if single else out
-
-    def log_prob_ratio(self, z_new, z_old):
-        """log p(z_new) - log p(z_old), differenced term by term.
-
-        Every prior coordinate and every observation is subtracted between
-        the two states before anything is summed, so the small true ratio is
-        never recovered from two large, independently rounded totals. The
-        ratio of a state with itself is exactly 0.0.
-        """
-        zn, single_n = self._prepare(z_new)
-        zo, single_o = self._prepare(z_old)
-        if zn.shape != zo.shape:
-            raise ValueError(f"state shapes differ: {zn.shape} vs {zo.shape}")
-        ratio = self.terms_ratio(
-            self._evaluate(zn, terms=True, grad=False)[0],
-            self._evaluate(zo, terms=True, grad=False)[0],
-        )
-        return ratio[0] if (single_n and single_o) else ratio
-
     def terms_ratio(self, terms_new, terms_old):
         """log_prob_ratio from the (C, P + N) terms of value_and_grad.
 
@@ -406,12 +432,6 @@ class ModelTarget:
         dead_o = ~np.isfinite(self._prior_scale_sum(terms_old))
         ratio = np.where(dead_n, self.dtype(-np.inf), ratio)
         return np.where(dead_o & ~dead_n, self.dtype(np.inf), ratio)
-
-    def _prepare(self, z):
-        z = np.asarray(z, dtype=self.dtype)
-        if not np.all(np.isfinite(z)):
-            raise ValueError("state contains non-finite entries")
-        return _as_batch(z)
 
 
 def joint_log_prob(target: ModelTarget, params: ConstrainedParams):
@@ -439,56 +459,24 @@ def joint_log_prob(target: ModelTarget, params: ConstrainedParams):
     return total[0] if single else total
 
 
-class GaussianTarget:
+class GaussianTarget(Target):
     """Standard normal in P dimensions. Test and benchmark harness."""
 
     def __init__(self, dim: int, precision: str = "double"):
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
-        if precision not in ("single", "double"):
-            raise ValueError(f"precision must be 'single' or 'double', got {precision!r}")
+        super().__init__(precision)
         self.dim = dim
-        self.precision = precision
-        self.dtype = np.float32 if precision == "single" else np.float64
         self._const = self.dtype(-0.5 * dim * _LOG_2PI)
 
     def param_names(self) -> list[str]:
         return [f"z{j}" for j in range(self.dim)]
 
-    def _prepare(self, z):
-        z = np.asarray(z, dtype=self.dtype)
-        if not np.all(np.isfinite(z)):
-            raise ValueError("state contains non-finite entries")
-        zb, single = _as_batch(z)
-        if zb.shape[1] != self.dim:
-            raise ValueError(f"state must have {self.dim} entries, got {zb.shape[1]}")
-        return zb, single
+    def _evaluate(self, zb, terms: bool, grad: bool):
+        return (self.dtype(-0.5) * zb * zb if terms else None, -zb if grad else None)
 
-    def _terms(self, zb):
-        return self.dtype(-0.5) * zb * zb
-
-    def log_prob(self, z):
-        zb, single = self._prepare(z)
-        out = self._const + self._terms(zb).sum(axis=1)
-        return out[0] if single else out
-
-    def grad(self, z):
-        zb, single = self._prepare(z)
-        return -zb[0] if single else -zb
-
-    def value_and_grad(self, z, terms=False):
-        zb, single = self._prepare(z)
-        t = self._terms(zb)
-        out = (self._const + t.sum(axis=1), -zb) + ((t,) if terms else ())
-        return tuple(a[0] for a in out) if single else out
-
-    def log_prob_ratio(self, z_new, z_old):
-        zn, single_n = self._prepare(z_new)
-        zo, single_o = self._prepare(z_old)
-        if zn.shape != zo.shape:
-            raise ValueError(f"state shapes differ: {zn.shape} vs {zo.shape}")
-        ratio = self.terms_ratio(self._terms(zn), self._terms(zo))
-        return ratio[0] if (single_n and single_o) else ratio
+    def _value(self, terms):
+        return self._const + terms.sum(axis=1)
 
     def terms_ratio(self, terms_new, terms_old):
         return (terms_new - terms_old).sum(axis=1)

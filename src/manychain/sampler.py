@@ -121,8 +121,8 @@ class ChainBatch:
         z = np.array(z_init, dtype=target.dtype)
         if z.ndim != 2:
             raise ValueError(f"z_init must be (chains, dim), got shape {z.shape}")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("z_init contains non-finite entries")
+        if len(z) == 0:
+            raise ValueError("z_init holds no chains")
         value, grad = target.value_and_grad(z)
         if not np.all(np.isfinite(value)):
             raise ValueError("initial states have non-finite log density")
@@ -269,6 +269,8 @@ def hmc_step(
     pool, when given, integrates in one map; the result does not depend on
     either.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     c, p = batch.z.shape
     step_keys = key_array(step_keys)
     if len(step_keys) != c:
@@ -394,17 +396,12 @@ def estimate_diag_mass(moments: diag.StreamingMoments) -> np.ndarray:
 
 @dataclass
 class RunSummary:
-    """harmonic_accept is the run mean of per-step harmonic means, the same
-    quantity the step-size controller sees each iteration. Pooling 1/p over
-    the whole run instead would let a single deep rejection anywhere zero out
-    the statistic for an otherwise healthy run."""
+    """One run_chains call: its size, wall time, accept rate and last batch."""
 
     num_steps: int
     num_chains: int
     wall_seconds: float
     accept_rate: float
-    harmonic_accept: float
-    total_leapfrogs: int
     final_batch: ChainBatch
 
     @property
@@ -440,9 +437,6 @@ class TraceSink:
 
     def trajectory_lengths(self) -> np.ndarray:
         return np.asarray(self._lengths, dtype=np.int64)
-
-    def report(self, tau_trace=None) -> diag.DiagnosticsReport:
-        return diag.report_from_trace(self.z_trace(), self.log_accept_ratios(), tau_trace)
 
 
 class MomentsSink:
@@ -553,8 +547,6 @@ def run_chains(
 
     t0 = perf_counter()
     accept_total = 0
-    step_hm_sum = 0.0
-    total_leapfrogs = 0
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for per_chain, jitter_key in iteration_keys(root_key, num_steps, c):
@@ -564,8 +556,6 @@ def run_chains(
             if sink is not None:
                 sink.record(out)
             accept_total += int(out.is_accepted.sum())
-            step_hm_sum += out.harmonic_accept
-            total_leapfrogs += out.num_leapfrog_used
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
@@ -576,8 +566,6 @@ def run_chains(
         num_chains=c,
         wall_seconds=wall,
         accept_rate=(accept_total / (num_steps * c)) if num_steps else 0.0,
-        harmonic_accept=(step_hm_sum / num_steps) if num_steps else 0.0,
-        total_leapfrogs=total_leapfrogs,
         final_batch=batch,
     )
 

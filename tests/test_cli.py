@@ -1,7 +1,8 @@
 """End-to-end CLI behavior through in-process main() calls.
 
 Everything here goes through the same argv surface a shell user sees; the
-emitted files are read back only with the package's own readers."""
+emitted files are read back with the package's own readers, and
+diagnostics.json with json."""
 
 import json
 import warnings
@@ -17,7 +18,6 @@ from manychain.cli import (
     initial_states,
     main,
     read_bench_csv,
-    read_diagnostics_json,
     read_trace_csv,
     write_bench_csv,
     write_trace_csv,
@@ -47,7 +47,7 @@ def test_sample_gaussian_full_retention(tmp_path):
         "gaussian:6", "--chains", "4", "--draws", "32", "--warmup", "30",
         "--seed", "3",
     )
-    report = read_diagnostics_json(out / "diagnostics.json")
+    report = json.loads((out / "diagnostics.json").read_text())
     assert set(report) == SCHEMA_KEYS
     assert len(report["rhat"]) == 6
     assert len(report["ess"]) == 6
@@ -68,7 +68,7 @@ def test_sample_regression_reports_tau_ess(tmp_path):
         "synthetic:200,6,0.5", "--chains", "8", "--draws", "32",
         "--warmup", "40", "--step-size", "0.05",
     )
-    report = read_diagnostics_json(out / "diagnostics.json")
+    report = json.loads((out / "diagnostics.json").read_text())
     assert report["ess_tau"] is not None and report["ess_tau"] > 0
     names, z, _, _ = read_trace_csv(out / "trace.csv")
     assert names[0] == "u_tau" and len(names) == 13
@@ -81,7 +81,7 @@ def test_sample_moments_only_retention(tmp_path):
         "--retention", "moments-only",
     )
     assert not (out / "trace.csv").exists()
-    report = read_diagnostics_json(out / "diagnostics.json")
+    report = json.loads((out / "diagnostics.json").read_text())
     assert set(report) == SCHEMA_KEYS
     assert report["ess"] is None and report["ess_tau"] is None
     assert len(report["rhat"]) == 4

@@ -14,6 +14,7 @@ from manychain.model import (
     DatasetError,
     GaussianTarget,
     ModelTarget,
+    Target,
     constrain,
     generate_synthetic,
     joint_log_prob,
@@ -275,11 +276,23 @@ def test_overflowed_scale_is_dead_not_nan(precision):
 
 
 def test_rejects_nonfinite_state():
-    target = fixture_target()
+    # the state checks are Target's, so both targets raise the same errors
     z = fixture_z()
-    z[2] = np.nan
-    with pytest.raises(ValueError):
-        target.log_prob(z)
+    bad = z.copy()
+    bad[2] = np.nan
+    for target in (fixture_target(), GaussianTarget(5)):
+        assert isinstance(target, Target)
+        for evaluate in (target.log_prob, target.grad, target.value_and_grad):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                evaluate(bad)
+            with pytest.raises(ValueError, match="state must have 5 entries, got 4"):
+                evaluate(z[:4])
+            with pytest.raises(ValueError, match="1- or 2-dimensional"):
+                evaluate(z[None, None, :])
+        with pytest.raises(ValueError, match="non-finite entries"):
+            target.log_prob_ratio(z, bad)
+        with pytest.raises(ValueError, match="state shapes differ"):
+            target.log_prob_ratio(np.stack([z, z]), z)
 
 
 def test_zero_design_matrix_prior_monotonic_in_beta():
@@ -304,8 +317,10 @@ def test_param_names_layout():
 
 def test_target_config_validation():
     ds = Dataset(np.zeros((2, 1)), np.zeros(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="precision must be"):
         ModelTarget(ds, precision="half")
+    with pytest.raises(ValueError, match="precision must be"):
+        GaussianTarget(3, precision="half")
     with pytest.raises(ValueError):
         GaussianTarget(0)
 
