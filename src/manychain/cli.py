@@ -9,7 +9,8 @@ Model selectors:
 Seed handling: --seed expands through a fixed schedule,
 root -> (data_key, init_key, warmup_key, run_key), so one integer pins the
 dataset, the start states, warmup adaptation, and the sampling pass. Two runs
-with the same seed and flags produce byte-identical outputs at any --threads.
+with the same seed and flags produce byte-identical outputs at any --threads,
+which spreads the regression likelihood's row blocks over that many workers.
 
 Every command samples through the sampler's one transition (hmc_step) and,
 for multi-iteration runs, its one loop (run_chains); precision-demo drives
@@ -81,7 +82,11 @@ def build_dataset(selector: str, data_key) -> Dataset:
     )
 
 
-def build_target(selector: str, precision: str, data_key):
+def build_target(selector: str, precision: str, data_key, threads: int = 1):
+    """The target a model selector names. threads reaches the regression
+    likelihood's row blocks; a Gaussian target runs on one thread."""
+    if threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {threads}")
     kind, sep, rest = selector.partition(":")
     if kind == "gaussian" and sep:
         try:
@@ -90,7 +95,7 @@ def build_target(selector: str, precision: str, data_key):
             raise UsageError(f"gaussian selector needs an integer dimension, got {rest!r}")
         return GaussianTarget(dim, precision=precision)
     if kind in ("synthetic", "german-credit"):
-        return ModelTarget(build_dataset(selector, data_key), precision=precision)
+        return ModelTarget(build_dataset(selector, data_key), precision=precision, threads=threads)
     raise UsageError(
         f"bad model selector {selector!r}; expected gaussian:P, "
         "synthetic:N,D,SPARSITY or german-credit:PATH"
@@ -194,7 +199,7 @@ def cmd_sample(args) -> int:
         raise UsageError("--warmup must be >= 0")
     if args.retention == "moments-only" and args.chains < 2:
         raise UsageError("moments-only retention needs at least 2 chains for streaming R-hat")
-    target = build_target(args.model, args.precision, data_key)
+    target = build_target(args.model, args.precision, data_key, args.threads)
 
     config = HmcConfig(
         step_size=args.step_size,
@@ -205,21 +210,17 @@ def cmd_sample(args) -> int:
     z0 = initial_states(init_key, args.chains, target.dim)
 
     if args.adapt:
-        config, start, info = warmup_adapt(
-            target, config, z0, warmup_key, args.warmup, threads=args.threads
-        )
+        config, start, info = warmup_adapt(target, config, z0, warmup_key, args.warmup)
         warm_note = (
             f"adapted: step_size={config.step_size:.5g} "
             f"warmup accept(harmonic)={info.final_harmonic_accept:.3f}"
         )
     else:
-        start = run_chains(target, config, z0, warmup_key, args.warmup,
-                           sink=None, threads=args.threads).final_batch
+        start = run_chains(target, config, z0, warmup_key, args.warmup, sink=None).final_batch
         warm_note = f"warmup: {args.warmup} discarded iterations, no adaptation"
 
     sink = TraceSink() if args.retention == "full" else MomentsSink()
-    summary = run_chains(target, config, start, run_key, args.draws,
-                         sink=sink, threads=args.threads)
+    summary = run_chains(target, config, start, run_key, args.draws, sink=sink)
 
     if args.retention == "full":
         z_trace, ratios = sink.z_trace(), sink.log_accept_ratios()
@@ -269,7 +270,7 @@ def cmd_bench_chains(args) -> int:
     if args.draws_per_chain < 1:
         raise UsageError("--draws-per-chain must be positive")
 
-    target = build_target(args.model, "double", data_key)
+    target = build_target(args.model, "double", data_key, args.threads)
     config = HmcConfig(
         step_size=args.step_size,
         num_leapfrog_steps=args.leapfrog_steps,
@@ -282,10 +283,9 @@ def cmd_bench_chains(args) -> int:
         try:
             z0 = initial_states(fold_in(init_key, c), c, target.dim)
             # one discarded warm-start iteration, then the timed run
-            warm = run_chains(target, config, z0, fold_in(run_key, 0), 1,
-                              sink=None, threads=args.threads)
+            warm = run_chains(target, config, z0, fold_in(run_key, 0), 1, sink=None)
             summary = run_chains(target, config, warm.final_batch, fold_in(run_key, c),
-                                 args.draws_per_chain, sink=None, threads=args.threads)
+                                 args.draws_per_chain, sink=None)
             row = {
                 "chains": c,
                 "wall_seconds": summary.wall_seconds,
@@ -468,6 +468,10 @@ def cmd_precision_demo(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+THREADS_HELP = ("workers for the regression likelihood's 16-row blocks (a Gaussian "
+                "model runs on one thread); outputs are byte-identical at any count")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="manychain",
@@ -488,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--stable-ratio", action=argparse.BooleanOptionalAction, default=False)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--retention", choices=["full", "moments-only"], default="full")
-    ps.add_argument("--threads", type=int, default=1)
+    ps.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     ps.add_argument("--output", default="manychain_run")
     ps.set_defaults(func=cmd_sample)
 
@@ -499,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--step-size", type=float, default=0.05)
     pb.add_argument("--leapfrog-steps", type=int, default=8)
     pb.add_argument("--seed", type=int, default=0)
-    pb.add_argument("--threads", type=int, default=1)
+    pb.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     pb.add_argument("--output", default="bench.csv")
     pb.set_defaults(func=cmd_bench_chains)
 

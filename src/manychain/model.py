@@ -38,14 +38,18 @@ gradient code exists once and both call it.
 A (C, P) batch evaluates as a whole except for the per-observation (C, N)
 pipeline, which runs BLOCK_ROWS rows at a time from row 0: gemm rounds
 differently at other row counts, so the blocks keep every row's bits
-independent of C and of the sampler's per-worker ranges, which start on
-block multiples.
+independent of C. This is also the one place threads act:
+ModelTarget(threads=T) hands contiguous groups of these blocks to at most T
+workers, the calling thread and T - 1 pool workers, and each group writes
+its own rows, so no row's bits depend on T either.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,6 +254,16 @@ def _blocks(num_rows: int):
     return [slice(lo, lo + BLOCK_ROWS) for lo in range(0, num_rows, BLOCK_ROWS)]
 
 
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process's threads - 1 helper workers for ModelTarget(threads=...).
+    numpy's error state is per thread, so each worker silences overflow and
+    invalid once, as _evaluate does around its own share."""
+    return ThreadPoolExecutor(
+        threads - 1, initializer=functools.partial(np.seterr, over="ignore", invalid="ignore")
+    )
+
+
 def _sign_residuals(margins):
     """sign * (y - sigmoid(logit)), exactly 0 where exp(m) overflows."""
     return 1 / (1 + np.exp(margins))
@@ -333,12 +347,17 @@ class Target:
 class ModelTarget(Target):
     """Sparse logistic regression posterior over the unconstrained state.
 
-    Data are stored at the precision's width.
+    Data are stored at the precision's width. threads spreads the
+    per-observation pipeline's row blocks over that many workers; the
+    results do not depend on it.
     """
 
-    def __init__(self, dataset: Dataset, precision: str = "double"):
+    def __init__(self, dataset: Dataset, precision: str = "double", threads: int = 1):
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
         super().__init__(precision)
         self.dataset = dataset
+        self.threads = threads
         # rows of x times sign = 2y - 1 (exact), so one matmul gives margins
         self._xs = np.ascontiguousarray(
             dataset.x * (2.0 * dataset.y - 1.0)[:, None], dtype=self.dtype
@@ -384,12 +403,23 @@ class ModelTarget(Target):
         with np.errstate(over="ignore", invalid="ignore"):
             scale = np.exp(u_tau[:, None] + u_lamb)  # tau * lamb in one exp
             coefs = scale * beta
-            for rows in _blocks(c):
-                margins = coefs[rows] @ self._xs.T
-                if terms:
-                    _bernoulli_terms(margins, out=t[rows, p:])
-                if grad:
-                    np.matmul(_sign_residuals(margins), self._xs, out=g[rows])
+
+            def pipeline(blocks):
+                for rows in blocks:
+                    margins = coefs[rows] @ self._xs.T
+                    if terms:
+                        _bernoulli_terms(margins, out=t[rows, p:])
+                    if grad:
+                        np.matmul(_sign_residuals(margins), self._xs, out=g[rows])
+
+            blocks = _blocks(c)
+            # blocks per group; 1 for an empty batch, so the range step is positive
+            share = -(-len(blocks) // self.threads) or 1
+            jobs = [_pool(self.threads).submit(pipeline, blocks[lo : lo + share])
+                    for lo in range(share, len(blocks), share)]
+            pipeline(blocks[:share])
+            for job in jobs:
+                job.result()
             if terms:
                 t[:, 0] = self._gamma_const + a * u_tau - r * np.exp(u_tau)
                 t[:, 1 : 1 + d] = self._gamma_const + a * u_lamb - r * np.exp(u_lamb)

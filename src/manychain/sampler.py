@@ -21,14 +21,12 @@ as one (C, 2) key array (prng.key_array). The fold-in, the split of each
 chain's key and the chain's momentum and accept draws are three array calls
 for all chains together, and give the bits the one-key prng functions give.
 
-Each worker integrates its share of the batch as whole arrays: hmc_step
-splits the C chains into one contiguous range per worker (one range, all
-chains, on one thread), and _leapfrog, its evaluations and the stable-ratio
-terms run once per range. Runs are bitwise reproducible from (seed, config):
-every range starts on a multiple of model.BLOCK_ROWS, the rows the target's
-BLAS products take at a time, so a row's arithmetic does not depend on the
-worker count, and every cross-chain reduction happens in the coordinator in
-a fixed order, so --threads N reproduces --threads 1 exactly.
+Each iteration integrates the whole batch as one array program: hmc_step
+runs _leapfrog, its evaluations and the stable-ratio terms once over all C
+chains. Runs are bitwise reproducible from (seed, config): no row's
+arithmetic depends on the other rows, and every cross-chain reduction
+happens in a fixed order. Parallel work, where a target has any, lives in
+its batch evaluation (ModelTarget's threads), which keeps each row's bits.
 
 Interior leapfrog steps evaluate only the gradient; the density value, and
 the per-term pieces the stable ratio differences, are evaluated once per
@@ -41,7 +39,6 @@ batch with NaNs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from time import perf_counter
@@ -49,7 +46,6 @@ from time import perf_counter
 import numpy as np
 
 from . import diagnostics as diag
-from . import model
 from .prng import (
     RandomKey,
     fold_in_each,
@@ -116,13 +112,15 @@ class ChainBatch:
     grad: np.ndarray  # (C, P)
     terms: np.ndarray | None = None  # (C, K)
 
+    def __post_init__(self):
+        if len(self.z) == 0:
+            raise ValueError("the batch holds no chains")
+
     @classmethod
     def init(cls, target, z_init) -> "ChainBatch":
         z = np.array(z_init, dtype=target.dtype)
         if z.ndim != 2:
             raise ValueError(f"z_init must be (chains, dim), got shape {z.shape}")
-        if len(z) == 0:
-            raise ValueError("z_init holds no chains")
         value, grad = target.value_and_grad(z)
         if not np.all(np.isfinite(value)):
             raise ValueError("initial states have non-finite log density")
@@ -226,16 +224,6 @@ def draw_trajectory_length(jitter_key: RandomKey, base_steps: int, jitter: bool)
     return int(randint(jitter_key, 1, 1 + 2 * base_steps))
 
 
-def _worker_ranges(num_chains: int, threads: int):
-    """At most threads contiguous (lo, hi) chain ranges covering
-    [0, num_chains), each starting on a multiple of model.BLOCK_ROWS and
-    holding a near-equal share of the blocks."""
-    blocks = -(-num_chains // model.BLOCK_ROWS)
-    n = min(threads, blocks)
-    bounds = [model.BLOCK_ROWS * (i * blocks // n) for i in range(n)] + [num_chains]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def _chain_draws(step_keys: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Momentum normals (C, p) and log accept uniforms (C,), float64: for
     (mk, uk) = split(k, 2) of chain key k, normal(mk, [p]) and
@@ -253,8 +241,6 @@ def hmc_step(
     step_keys,
     jitter_key: RandomKey,
     length_fn=None,
-    pool=None,
-    threads: int = 1,
 ) -> tuple[ChainBatch, StepOutput]:
     """Advance every chain by one jittered HMC iteration.
 
@@ -265,12 +251,7 @@ def hmc_step(
     length_fn is a test hook replacing the trajectory-length draw; if it
     hands back per-chain lengths that are not all equal the step raises
     LockstepViolationError instead of silently desynchronizing the batch.
-    The chains split into at most threads ranges (_worker_ranges), which
-    pool, when given, integrates in one map; the result does not depend on
-    either.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     c, p = batch.z.shape
     step_keys = key_array(step_keys)
     if len(step_keys) != c:
@@ -302,42 +283,21 @@ def hmc_step(
     if sqrt_mass is not None:
         m0 = m0 * sqrt_mass
 
-    eps = dtype(config.step_size)
-    ranges = _worker_ranges(c, threads)
-
-    def integrate(bounds):
-        lo, hi = bounds
-        z1, m1, v1, g1, t1 = _leapfrog(
-            target, eps, num_steps, batch.z[lo:hi], m0[lo:hi], batch.grad[lo:hi], inv_mass
-        )
-        if not config.stable_ratio:
-            return z1, m1, v1, g1, None, None, None
-        if batch.terms is None:
-            t0 = target.value_and_grad(batch.z[lo:hi], terms=True)[2]
-        else:
-            t0 = batch.terms[lo:hi]
-        # rows that went non-finite carry NaN terms; the proposal check
-        # below turns their ratio into a rejection
-        with np.errstate(invalid="ignore"):
-            ratio = target.terms_ratio(t1, t0)
-        return z1, m1, v1, g1, t0, t1, ratio
-
-    if pool is not None and len(ranges) > 1:
-        results = list(pool.map(integrate, ranges))
-    else:
-        results = [integrate(b) for b in ranges]
-
-    z1, m1, value1, grad1, terms0, terms1, terms_ratio = (
-        col[0] if len(col) == 1 or col[0] is None else np.concatenate(col)
-        for col in zip(*results)
+    z1, m1, value1, grad1, terms1 = _leapfrog(
+        target, dtype(config.step_size), num_steps, batch.z, m0, batch.grad, inv_mass
     )
 
+    # rows that went non-finite carry NaN terms; the proposal check below
+    # turns their ratio into a rejection
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         if config.stable_ratio:
+            terms0 = batch.terms
+            if terms0 is None:
+                terms0 = target.value_and_grad(batch.z, terms=True)[2]
             kin_diff = (0.5 * ((m0 * m0) - (m1 * m1))) if inv_mass is None else (
                 0.5 * ((m0 * m0) - (m1 * m1)) * inv_mass
             )
-            log_accept_ratio = kin_diff.sum(axis=1) + terms_ratio
+            log_accept_ratio = kin_diff.sum(axis=1) + target.terms_ratio(terms1, terms0)
         else:
             kin0 = (0.5 * m0 * m0 if inv_mass is None else 0.5 * m0 * m0 * inv_mass).sum(axis=1)
             kin1 = (0.5 * m1 * m1 if inv_mass is None else 0.5 * m1 * m1 * inv_mass).sum(axis=1)
@@ -526,7 +486,6 @@ def run_chains(
     root_key: RandomKey,
     num_steps: int,
     sink=None,
-    threads: int = 1,
 ) -> RunSummary:
     """Run C lockstep chains for num_steps iterations, streaming each
     StepOutput into sink.
@@ -537,8 +496,6 @@ def run_chains(
     """
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if isinstance(z_init, ChainBatch):
         batch = z_init
     else:
@@ -547,18 +504,11 @@ def run_chains(
 
     t0 = perf_counter()
     accept_total = 0
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for per_chain, jitter_key in iteration_keys(root_key, num_steps, c):
-            batch, out = hmc_step(
-                target, config, batch, per_chain, jitter_key, pool=pool, threads=threads
-            )
-            if sink is not None:
-                sink.record(out)
-            accept_total += int(out.is_accepted.sum())
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+    for per_chain, jitter_key in iteration_keys(root_key, num_steps, c):
+        batch, out = hmc_step(target, config, batch, per_chain, jitter_key)
+        if sink is not None:
+            sink.record(out)
+        accept_total += int(out.is_accepted.sum())
     wall = perf_counter() - t0
 
     return RunSummary(
@@ -612,7 +562,6 @@ def warmup_adapt(
     z_init,
     root_key: RandomKey,
     num_warmup: int,
-    threads: int = 1,
 ) -> tuple[HmcConfig, ChainBatch, WarmupInfo]:
     """Three-phase warmup: step-size search under identity mass (15%),
     moment collection for the diagonal mass (70%), step-size re-search under
@@ -630,12 +579,12 @@ def warmup_adapt(
 
     searched = replace(config, mass_diag=None)
     search = _StepSizeSearch(searched)
-    batch = run_chains(target, searched, z_init, k1, n1, sink=search, threads=threads).final_batch
+    batch = run_chains(target, searched, z_init, k1, n1, sink=search).final_batch
     moments = _DrawMoments()
-    batch = run_chains(target, searched, batch, k2, n2, sink=moments, threads=threads).final_batch
+    batch = run_chains(target, searched, batch, k2, n2, sink=moments).final_batch
     mass = estimate_diag_mass(moments.moments)
     adapted = replace(config, step_size=searched.step_size, mass_diag=mass)
     research = _StepSizeSearch(adapted)
-    batch = run_chains(target, adapted, batch, k3, n3, sink=research, threads=threads).final_batch
+    batch = run_chains(target, adapted, batch, k3, n3, sink=research).final_batch
 
     return adapted, batch, WarmupInfo((n1, n2, n3), research.last.harmonic_accept)

@@ -95,7 +95,7 @@ def test_sample_byte_identical_reruns_and_threads(tmp_path):
     ]
     a = run_sample(tmp_path, "a", *args, "--threads", "1")
     b = run_sample(tmp_path, "b", *args, "--threads", "1")
-    c = run_sample(tmp_path, "c", *args, "--threads", "2")  # two ranges: 16 + 4 chains
+    c = run_sample(tmp_path, "c", *args, "--threads", "2")  # two 16-row blocks: 16 + 4 chains
     trace = (a / "trace.csv").read_bytes()
     assert trace == (b / "trace.csv").read_bytes()
     assert trace == (c / "trace.csv").read_bytes()
@@ -113,6 +113,13 @@ def test_sample_usage_errors(tmp_path, capsys):
     assert main(["sample", "nonsense"]) == 2
     assert main(["sample", "german-credit:/no/such/file.csv"]) == 2
     assert main(["sample", "synthetic:10,4"]) == 2  # missing sparsity
+    assert main(["sample", "synthetic:a,4,0.5"]) == 2
+    assert "could not parse synthetic selector" in capsys.readouterr().err
+    assert main(["sample", "gaussian:4", "--retention", "moments-only", "--draws", "1"]) == 2
+    assert "need at least 2 draws" in capsys.readouterr().err
+    # a Gaussian target takes no thread count, but the flag is still checked
+    assert main(["sample", "gaussian:4", "--threads", "0"]) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
     # streaming R-hat needs two chains: rejected before any sampling
     assert main(["sample", "gaussian:4", "--chains", "1", "--retention", "moments-only"]) == 2
     assert "at least 2 chains" in capsys.readouterr().err
@@ -144,6 +151,8 @@ def test_grad_check_exit_codes(capsys):
     assert "FAIL" in captured.err
 
     assert main(["grad-check", "gaussian:4", "--states", "0"]) == 2
+    assert main(["grad-check", "gaussian:4", "--fd-step", "0"]) == 2
+    assert "--fd-step must be positive" in capsys.readouterr().err
 
 
 def test_bench_chains_csv(tmp_path):
@@ -164,6 +173,7 @@ def test_bench_chains_usage_errors():
     assert main(["bench-chains", "gaussian:4", "--chain-list", "2,x"]) == 2
     assert main(["bench-chains", "gaussian:4", "--chain-list", ""]) == 2
     assert main(["bench-chains", "gaussian:4", "--draws-per-chain", "0"]) == 2
+    assert main(["bench-chains", "gaussian:4", "--threads", "0"]) == 2
 
 
 def test_precision_demo_small_csv(tmp_path, capsys):

@@ -4,7 +4,7 @@ fold_in_each, split_each and normal_uniform_each, and the Philox-4x64-10
 under them, must give for every row what the one-key functions give, and
 those must give what a freshly built numpy Philox gives. The sampler's
 per-chain draws are checked against the per-chain loop they replace, and
-whole runs against changes of thread count, chunk size and chain count.
+whole runs against changes of chain count and thread count.
 """
 
 import functools
@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-import manychain.model as model
 import manychain.sampler as sampler
 from manychain.cli import main
 from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
@@ -258,17 +257,12 @@ def test_hmc_step_takes_key_arrays_and_lists_alike(precision, stable):
         hmc_step(target, cfg, batch, keys[:18], k_jitter)
 
 
-def gaussian_trace(chains, chunk=model.BLOCK_ROWS, threads=1):
+def gaussian_trace(chains):
     target = GaussianTarget(3)
     cfg = HmcConfig(step_size=0.4, num_leapfrog_steps=3)
     z0 = np.asarray(normal(key_from_seed(12), [chains, 3]))
     sink = TraceSink()
-    saved = model.BLOCK_ROWS
-    model.BLOCK_ROWS = chunk
-    try:
-        run_chains(target, cfg, z0, key_from_seed(13), 5, sink=sink, threads=threads)
-    finally:
-        model.BLOCK_ROWS = saved
+    run_chains(target, cfg, z0, key_from_seed(13), 5, sink=sink)
     return sink.z_trace(), sink.log_accept_ratios()
 
 
@@ -277,13 +271,13 @@ def forty_chains():
     return gaussian_trace(40)
 
 
-@given(chains=st.integers(1, 40), chunk=st.integers(1, 40), threads=st.integers(1, 3))
+@given(chains=st.integers(1, 40))
 @settings(max_examples=25, deadline=None)
-def test_chains_do_not_depend_on_chunking_threads_or_chain_count(chains, chunk, threads):
+def test_chains_do_not_depend_on_chain_count(chains):
     """On a target whose chains do not interact, chain i's draws are the
-    same whatever the chunk size, the thread count, and how many chains run
-    beside it: its keys are fold_in(step key, i) in every layout."""
-    z, ratios = gaussian_trace(chains, chunk, threads)
+    same however many chains run beside it: its keys are fold_in(step key, i)
+    in every layout."""
+    z, ratios = gaussian_trace(chains)
     z_all, ratios_all = forty_chains()
     assert same_bits(z, z_all[:, :chains])
     assert same_bits(ratios, ratios_all[:, :chains])

@@ -24,11 +24,11 @@ from manychain.sampler import (
 import manychain.diagnostics as diag
 
 
-def small_model(seed=41, rows=100, features=4):
+def small_model(seed=41, rows=100, features=4, threads=1):
     key = key_from_seed(seed)
     k_data, k_rest = split(key, 2)
     ds = generate_synthetic(k_data, rows, features, 0.5)
-    return ModelTarget(ds), k_rest
+    return ModelTarget(ds, threads=threads), k_rest
 
 
 def test_leapfrog_single_step_by_hand():
@@ -141,6 +141,8 @@ def test_run_chains_zero_steps():
     summary = run_chains(g, HmcConfig(0.1, 2), z0, key, 0)
     assert summary.accept_rate == 0.0
     np.testing.assert_array_equal(summary.final_batch.z, z0)
+    with pytest.raises(ValueError, match="num_steps must be >= 0"):
+        run_chains(g, HmcConfig(0.1, 2), z0, key, -1)
 
 
 def test_identical_chain_keys_collapse_chains():
@@ -263,17 +265,22 @@ def test_lockstep_violation_is_raised():
     assert out.num_leapfrog_used == 4
     assert isinstance(out.num_leapfrog_used, int)
 
+    # an agreed length must still be a trajectory, and the mass must fit
+    with pytest.raises(ValueError, match="trajectory length must be >= 1"):
+        hmc_step(g, cfg, batch, keys, key, length_fn=lambda k: [0])
+    with pytest.raises(ValueError, match=r"mass_diag must have shape \(2,\)"):
+        hmc_step(g, HmcConfig(0.1, 4, mass_diag=np.ones(3)), batch, keys, key)
+
 
 def test_no_threads_or_no_chains_is_rejected():
-    # either would leave hmc_step with no worker range to integrate
     g = GaussianTarget(2)
     key = key_from_seed(73)
-    batch = ChainBatch.init(g, np.zeros((3, 2)))
-    keys = [fold_in(key, i) for i in range(3)]
     with pytest.raises(ValueError, match="threads must be >= 1"):
-        hmc_step(g, HmcConfig(0.1, 2), batch, keys, key, threads=0)
+        small_model(seed=73, threads=0)
     with pytest.raises(ValueError, match="no chains"):
         run_chains(g, HmcConfig(0.1, 2), np.zeros((0, 2)), key, 3)
+    with pytest.raises(ValueError, match="no chains"):
+        ChainBatch(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)))
 
 
 def test_config_validation():
@@ -309,9 +316,10 @@ def test_run_chains_traces_and_determinism():
     cfg = HmcConfig(step_size=0.05, num_leapfrog_steps=4)
 
     sinks = []
-    for threads in (1, 1, 2):  # third run exercises the pool path
+    threaded, _ = small_model(seed=72, rows=60, features=3, threads=2)
+    for t in (target, target, threaded):  # third run exercises the pool path
         sink = TraceSink()
-        summary = run_chains(target, cfg, z0.copy(), k_run, 50, sink=sink, threads=threads)
+        summary = run_chains(t, cfg, z0.copy(), k_run, 50, sink=sink)
         assert summary.num_steps == 50 and summary.num_chains == 20
         assert summary.draws_per_second > 0
         sinks.append(sink)

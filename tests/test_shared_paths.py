@@ -1,9 +1,8 @@
 """The shared iteration loop and transition, pinned against the code they
 replaced: warmup_adapt against its former three-phase loop with its own key
-schedule and thread pool, StepOutput.proposal against the accept select, and
+schedule, StepOutput.proposal against the accept select, and
 the precision demo's float64 oracle against a fully independent one."""
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -25,10 +24,10 @@ from manychain.sampler import (
 )
 
 
-def small_model(seed, precision, rows=80, features=4):
+def small_model(seed, precision, rows=80, features=4, threads=1):
     k_data, k_rest = split(key_from_seed(seed), 2)
     ds = generate_synthetic(k_data, rows, features, 0.5)
-    return ModelTarget(ds, precision=precision), k_rest
+    return ModelTarget(ds, precision=precision, threads=threads), k_rest
 
 
 def same_bits(a, b):
@@ -36,55 +35,50 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def three_phase_loop(target, config, z_init, root_key, num_warmup, threads):
+def three_phase_loop(target, config, z_init, root_key, num_warmup):
     """warmup_adapt as it was before its phases ran through run_chains: one
-    loop per phase with its own key schedule, one thread pool for all three.
-    Returns (step size, mass, final batch, final harmonic accept)."""
+    loop per phase with its own key schedule. Returns (step size, mass,
+    final batch, final harmonic accept)."""
     n1 = n3 = max(1, int(round(0.15 * num_warmup)))
     n2 = num_warmup - n1 - n3
     batch = ChainBatch.init(target, z_init)
     k1, k2, k3 = split(root_key, 3)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        def phase(key, steps, cfg, adapt_eps, collect):
-            nonlocal batch
-            moments = None
-            step_stream, jitter_stream = (split(k, steps) for k in split(key, 2))
-            chain_ids = np.arange(batch.num_chains)
-            for t in range(steps):
-                per_chain = fold_in_each(step_stream[t], chain_ids)
-                batch, out = hmc_step(target, cfg, batch, per_chain, jitter_stream[t],
-                                      pool=pool, threads=threads)
-                if adapt_eps:
-                    probs = diag.accept_probs_from_ratios(out.log_accept_ratio)
-                    cfg.step_size = adapt_step_size(cfg.step_size, probs)
-                if collect:
-                    if moments is None:
-                        moments = diag.welford_init(batch.z.shape)
-                    moments = diag.welford_update(moments, np.asarray(batch.z, np.float64))
-            return cfg.step_size, moments, out.harmonic_accept
 
-        base = replace(config, mass_diag=None)
-        eps1, _, _ = phase(k1, n1, replace(base, step_size=config.step_size), True, False)
-        _, moments, _ = phase(k2, n2, replace(base, step_size=eps1), False, True)
-        mass = estimate_diag_mass(moments)
-        eps3, _, hm3 = phase(k3, n3, replace(config, step_size=eps1, mass_diag=mass), True, False)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+    def phase(key, steps, cfg, adapt_eps, collect):
+        nonlocal batch
+        moments = None
+        step_stream, jitter_stream = (split(k, steps) for k in split(key, 2))
+        chain_ids = np.arange(batch.num_chains)
+        for t in range(steps):
+            per_chain = fold_in_each(step_stream[t], chain_ids)
+            batch, out = hmc_step(target, cfg, batch, per_chain, jitter_stream[t])
+            if adapt_eps:
+                probs = diag.accept_probs_from_ratios(out.log_accept_ratio)
+                cfg.step_size = adapt_step_size(cfg.step_size, probs)
+            if collect:
+                if moments is None:
+                    moments = diag.welford_init(batch.z.shape)
+                moments = diag.welford_update(moments, np.asarray(batch.z, np.float64))
+        return cfg.step_size, moments, out.harmonic_accept
+
+    base = replace(config, mass_diag=None)
+    eps1, _, _ = phase(k1, n1, replace(base, step_size=config.step_size), True, False)
+    _, moments, _ = phase(k2, n2, replace(base, step_size=eps1), False, True)
+    mass = estimate_diag_mass(moments)
+    eps3, _, hm3 = phase(k3, n3, replace(config, step_size=eps1, mass_diag=mass), True, False)
     return eps3, mass, batch, hm3
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("precision, stable", [("double", False), ("single", True)])
 def test_warmup_adapt_matches_the_three_phase_loop(threads, precision, stable):
-    target, key = small_model(51, precision)
+    target, key = small_model(51, precision, threads=threads)
     k_init, k_warm = split(key, 2)
-    z0 = 0.4 * np.asarray(normal(k_init, [20, target.dim]))  # two chunks: 16 + 4
+    z0 = 0.4 * np.asarray(normal(k_init, [20, target.dim]))  # two blocks: 16 + 4
     cfg = HmcConfig(step_size=0.1, num_leapfrog_steps=3, stable_ratio=stable)
 
-    eps, mass, want, hm = three_phase_loop(target, cfg, z0, k_warm, 40, threads)
-    adapted, got, info = warmup_adapt(target, cfg, z0, k_warm, 40, threads=threads)
+    eps, mass, want, hm = three_phase_loop(target, cfg, z0, k_warm, 40)
+    adapted, got, info = warmup_adapt(target, cfg, z0, k_warm, 40)
 
     assert adapted.step_size == eps
     assert same_bits(adapted.mass_diag, mass)

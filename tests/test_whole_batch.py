@@ -1,32 +1,31 @@
-"""Whole-batch evaluation and per-worker chain ranges.
+"""Whole-batch evaluation and the likelihood's worker threads.
 
 The target evaluates a (C, P) batch as a whole except for its BLAS
 products, which run model.BLOCK_ROWS rows at a time from row 0. Every row's
-bits then depend neither on C nor on where the sampler's worker ranges
-split the batch, so threads, chain counts and cache recomputations agree
-bit for bit."""
+bits then depend neither on C nor on how ModelTarget(threads=T) groups the
+blocks over its workers, so threads, chain counts and cache recomputations
+agree bit for bit."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from manychain import model
 from manychain.cli import main
 from manychain.model import ModelTarget, generate_synthetic
 from manychain.prng import key_from_seed, normal, split
-from manychain.sampler import HmcConfig, _worker_ranges, run_chains
+from manychain.sampler import HmcConfig, run_chains
 
 CHAIN_COUNTS = [1, 15, 16, 17, 33, 48, 64, 256]
 
 
 @functools.cache
-def regression_target(precision):
+def regression_target(precision, threads=1):
     """The 1000-row, 24-feature dataset the benchmark and criterion 1 use."""
     ds = generate_synthetic(split(key_from_seed(5), 2)[0], 1000, 24, 0.25)
-    return ModelTarget(ds, precision=precision)
+    return ModelTarget(ds, precision=precision, threads=threads)
 
 
 def same_bits(a, b):
@@ -56,19 +55,33 @@ def test_batch_is_bitwise_its_blocks(precision, chains):
     assert same_bits(target.log_prob(z), blockwise(target.log_prob, z))
 
 
-@given(chains=st.integers(1, 600), threads=st.integers(1, 8))
-@settings(max_examples=200, deadline=None)
-def test_worker_ranges_cover_the_batch_on_block_starts(chains, threads):
-    ranges = _worker_ranges(chains, threads)
-    blocks = -(-chains // model.BLOCK_ROWS)
-    assert len(ranges) == min(threads, blocks)
-    assert ranges[0][0] == 0 and ranges[-1][1] == chains
-    for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]):
-        assert hi == next_lo
-    for lo, hi in ranges:
-        assert lo < hi and lo % model.BLOCK_ROWS == 0
-    sizes = [-(-(hi - lo) // model.BLOCK_ROWS) for lo, hi in ranges]
-    assert max(sizes) - min(sizes) <= 1
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("threads", [2, 3, 8])
+@pytest.mark.parametrize("chains", CHAIN_COUNTS)
+def test_threads_give_the_one_thread_bits(precision, threads, chains):
+    one, many = regression_target(precision), regression_target(precision, threads)
+    z = 0.3 * np.asarray(normal(key_from_seed(chains), [chains, one.dim]))
+    for w, t in zip(one.value_and_grad(z, terms=True), many.value_and_grad(z, terms=True)):
+        assert same_bits(w, t)
+    assert same_bits(one.grad(z), many.grad(z))
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_pool_workers_raise_no_warnings(precision):
+    """numpy's error state is per thread: the pool's workers must be as
+    quiet as the calling thread where margins overflow."""
+    one, two = regression_target(precision), regression_target(precision, 2)
+    z = 0.3 * np.asarray(normal(key_from_seed(3), [64, one.dim]))
+    # exp(u_tau) overflows float32 (coefficients of +-inf make NaN margins)
+    # and makes float64 margins whose exp overflows; so do the huge weights
+    z[::2, 0] = 100.0
+    z[1::2, 1 + one.num_features :] = 1e3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = two.value_and_grad(z, terms=True) + (two.grad(z),)
+    want = one.value_and_grad(z, terms=True) + (one.grad(z),)
+    for w, g in zip(want, got):
+        assert same_bits(w, g)
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
