@@ -276,9 +276,11 @@ def cmd_bench_chains(args) -> int:
         num_leapfrog_steps=args.leapfrog_steps,
         jitter=True,
     )
+    # only a regression target spreads its evaluation over --threads
+    threads = target.threads if isinstance(target, ModelTarget) else 1
     rows = []
     print(f"model={args.model}  draws/chain={args.draws_per_chain}  "
-          f"leapfrog={args.leapfrog_steps} (jittered)  threads={args.threads}")
+          f"leapfrog={args.leapfrog_steps} (jittered)  threads={threads}")
     for c in chain_counts:
         try:
             z0 = initial_states(fold_in(init_key, c), c, target.dim)
@@ -307,11 +309,13 @@ def cmd_bench_chains(args) -> int:
 
 def cmd_grad_check(args) -> int:
     data_key, init_key, _, _ = _expand_seed(args.seed)
-    target = build_target(args.model, "double", data_key)
     if args.states < 1:
         raise UsageError("--states must be positive")
-    if args.fd_step <= 0:
+    if not args.fd_step > 0:
         raise UsageError("--fd-step must be positive")
+    if not (0.0 < args.threshold < math.inf):
+        raise UsageError(f"--threshold must be positive and finite, got {args.threshold}")
+    target = build_target(args.model, "double", data_key)
     states = np.asarray(normal(init_key, [args.states, target.dim]))
     worst = 0.0
     for i in range(args.states):

@@ -21,12 +21,14 @@ Philox whose state is set to the key and counter asked for, which is what a
 freshly constructed one would hold.
 
 Key arrays: a sampler needs the same derivations for every chain at once, so
-fold_in_each, split_each and normal_uniform_each compute them over arrays of
-keys, a (C, 2) uint64 key array holding one key per row as its two Philox key
-words (lo, hi). They run Philox-4x64-10 written in numpy (_philox), a fixed
-number of array operations whatever the number of keys, and give bit for bit
-what the one-key functions give for each row; numpy's Philox is the oracle
-the tests hold them to.
+fold_in_each and normal_uniform_each compute them over arrays of keys, a
+(C, 2) uint64 key array holding one key per row as its two Philox key words
+(lo, hi). They run Philox-4x64-10 written in numpy (_philox), a fixed number
+of array operations whatever the number of keys, and give bit for bit what
+numpy's Philox gives for each row, the oracle the tests hold them to.
+normal_uniform_each reads one stream per key for two kinds of draw: its
+normals are normal(key, [size]), and its uniform is the next word of that
+stream, what random() returns on a Generator that has drawn those normals.
 """
 
 from __future__ import annotations
@@ -252,15 +254,6 @@ def _philox(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
     return out.reshape(shape + (4,))
 
 
-def _counters(blocks: int, domain: int) -> np.ndarray:
-    """Counters [b, 0, domain, 0] for b < blocks: the blocks a stream
-    starting at [0, 0, domain, 0] hands out first."""
-    counter = np.zeros((blocks, 4), dtype=_U64)
-    counter[:, 0] = np.arange(blocks)
-    counter[:, 2] = domain
-    return counter
-
-
 def key_array(keys) -> np.ndarray:
     """(C, 2) uint64 key array: one key per row as its Philox key words
     (lo, hi). Takes a sequence of RandomKey, or a key array, which is checked
@@ -285,31 +278,20 @@ def fold_in_each(key: RandomKey, indices) -> np.ndarray:
     return _philox(counter, np.array([key.lo, key.hi], dtype=_U64))[:, :2]
 
 
-def split_each(keys, n: int) -> np.ndarray:
-    """(C, n, 2) key array whose row i holds split(k, n) of key i of keys."""
-    if n < 1:
-        raise ValueError(f"split needs n >= 1, got {n}")
+def normal_uniform_each(keys, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """normal(keys[i], [size]) for every row i, and the uniform the same
+    stream hands out next: the first size + 1 words of row i's draw stream,
+    from one cipher call. Returns float64 arrays (C, size) and (C,)."""
     keys = key_array(keys)
-    blocks = (n + 1) // 2  # two child keys per block
-    words = _philox(_counters(blocks, _DOMAIN_SPLIT), keys[:, None, :])
-    return words.reshape(len(keys), 2 * blocks, 2)[:, :n]
-
-
-def normal_uniform_each(normal_keys, uniform_keys, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """normal(normal_keys[i], [size]) and uniform(uniform_keys[i]) for every
-    row i, from one cipher call over the normal blocks and the uniform block.
-    Returns float64 arrays (C, size) and (C,)."""
-    nk, uk = key_array(normal_keys), key_array(uniform_keys)
-    if nk.shape != uk.shape:
-        raise ValueError(f"normal and uniform key arrays differ: {nk.shape} vs {uk.shape}")
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
-    c = len(nk)
-    blocks = -(-size // 4)  # four normals per block
-    keys = np.concatenate([np.broadcast_to(nk[:, None], (c, blocks, 2)), uk[:, None]], axis=1)
-    counter = _counters(blocks + 1, _DOMAIN_DRAW)
-    counter[blocks, 0] = 0  # the uniform's stream starts at block 0 too
+    # counters [b, 0, domain, 0]: the blocks a draw stream hands out first,
+    # four words each, with room for the uniform after the normals
+    blocks = size // 4 + 1
+    counter = np.zeros((blocks, 4), dtype=_U64)
+    counter[:, 0] = np.arange(blocks)
+    counter[:, 2] = _DOMAIN_DRAW
     # the top 53 bits of every word, as normal() and uniform() draw them
-    bits = (_philox(counter, keys) >> _SHIFT11).astype(np.float64)
-    normals = ndtri((bits[:, :blocks].reshape(c, 4 * blocks)[:, :size] + 0.5) / _TWO53)
-    return normals, bits[:, blocks, 0] * (1.0 / _TWO53)
+    words = _philox(counter, keys[:, None, :]) >> _SHIFT11
+    bits = words.reshape(len(keys), 4 * blocks).astype(np.float64)
+    return ndtri((bits[:, :size] + 0.5) / _TWO53), bits[:, size] * (1.0 / _TWO53)

@@ -15,11 +15,11 @@ precision-demo drives hmc_step with the same key schedule.
 
 Randomness per iteration comes from one schedule, iteration_keys: the run's
 root key splits into a step stream and a jitter stream; the iteration's step
-key is folded with each chain index to give per-chain keys (momentum +
-accept draw), while the jitter key is used whole. The per-chain keys travel
-as one (C, 2) key array (prng.key_array). The fold-in, the split of each
-chain's key and the chain's momentum and accept draws are three array calls
-for all chains together, and give the bits the one-key prng functions give.
+key is folded with each chain index to give per-chain keys, while the jitter
+key is used whole. The per-chain keys travel as one (C, 2) key array
+(prng.key_array). Chain c's key k_c addresses one stream: its momentum is
+normal(k_c, [P]) and its accept uniform is the next draw of the same stream.
+The fold-in and the draws are two array calls for all chains together.
 
 Each iteration integrates the whole batch as one array program: hmc_step
 runs _leapfrog, its evaluations and the stable-ratio terms once over all C
@@ -53,7 +53,6 @@ from .prng import (
     normal_uniform_each,
     randint,
     split,
-    split_each,
 )
 
 # warmup step-size controller: harmonic accept it steers to, and its gain
@@ -224,16 +223,6 @@ def draw_trajectory_length(jitter_key: RandomKey, base_steps: int, jitter: bool)
     return int(randint(jitter_key, 1, 1 + 2 * base_steps))
 
 
-def _chain_draws(step_keys: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Momentum normals (C, p) and log accept uniforms (C,), float64: for
-    (mk, uk) = split(k, 2) of chain key k, normal(mk, [p]) and
-    math.log(uniform(uk)) (np.log differs in the last bit), -inf for a zero
-    uniform."""
-    kids = split_each(step_keys, 2)
-    normals, u = normal_uniform_each(kids[:, 0], kids[:, 1], p)
-    return normals, np.array([math.log(x) if x > 0.0 else -math.inf for x in u.tolist()])
-
-
 def hmc_step(
     target,
     config: HmcConfig,
@@ -244,10 +233,11 @@ def hmc_step(
 ) -> tuple[ChainBatch, StepOutput]:
     """Advance every chain by one jittered HMC iteration.
 
-    step_keys holds one key per chain (momentum and accept draws), as a
-    (C, 2) key array (prng.key_array) or a sequence of RandomKey, which is
-    converted to one; jitter_key is a single shared key from the separate
-    jitter stream.
+    step_keys holds one key per chain, as a (C, 2) key array
+    (prng.key_array) or a sequence of RandomKey, which is converted to one.
+    Chain c's momentum and accept uniform are the first P + 1 draws of its
+    key's stream (prng.normal_uniform_each). jitter_key is a single shared
+    key from the separate jitter stream.
     length_fn is a test hook replacing the trajectory-length draw; if it
     hands back per-chain lengths that are not all equal the step raises
     LockstepViolationError instead of silently desynchronizing the batch.
@@ -278,7 +268,9 @@ def hmc_step(
     inv_mass = None if mass is None else (1.0 / mass).astype(dtype)
     sqrt_mass = None if mass is None else np.sqrt(mass).astype(dtype)
 
-    normals, log_u = _chain_draws(step_keys, p)
+    normals, u = normal_uniform_each(step_keys, p)
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u)  # -inf for a zero uniform, which accepts any finite ratio
     m0 = normals.astype(dtype, copy=False)
     if sqrt_mass is not None:
         m0 = m0 * sqrt_mass

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import manychain.cli as cli
 from manychain.cli import (
     UsageError,
     build_dataset,
@@ -138,7 +139,7 @@ def test_sample_where_no_chain_moves_has_no_rhat(tmp_path, capsys, retention):
     assert not out.exists()
 
 
-def test_grad_check_exit_codes(capsys):
+def test_grad_check_exit_codes(capsys, monkeypatch):
     assert main(["grad-check", "gaussian:8", "--fd-step", "0.01",
                  "--threshold", "1e-8"]) == 0
     out = capsys.readouterr().out
@@ -153,20 +154,35 @@ def test_grad_check_exit_codes(capsys):
     assert main(["grad-check", "gaussian:4", "--states", "0"]) == 2
     assert main(["grad-check", "gaussian:4", "--fd-step", "0"]) == 2
     assert "--fd-step must be positive" in capsys.readouterr().err
+    # a threshold nothing can exceed, or everything exceeds, is a usage error
+    for threshold in ("nan", "inf", "0", "-1"):
+        assert main(["grad-check", "gaussian:4", "--threshold", threshold]) == 2
+        assert "--threshold must be positive and finite" in capsys.readouterr().err
+
+    def no_target(*args):
+        raise AssertionError("built the target before checking the flags")
+
+    monkeypatch.setattr(cli, "build_target", no_target)
+    for flag, value in (("--states", "0"), ("--fd-step", "nan"), ("--threshold", "nan")):
+        assert main(["grad-check", "synthetic:200000,40,0.5", flag, value]) == 2
 
 
-def test_bench_chains_csv(tmp_path):
-    out = tmp_path / "bench.csv"
-    rc = main([
-        "bench-chains", "gaussian:4", "--chain-list", "1,2,4",
-        "--draws-per-chain", "8", "--output", str(out),
-    ])
-    assert rc == 0
-    rows = read_bench_csv(out)
-    assert [r["chains"] for r in rows] == [1, 2, 4]
-    for r in rows:
-        assert r["wall_seconds"] > 0
-        assert r["draws_per_second"] > 0
+def test_bench_chains_csv(tmp_path, capsys):
+    # the header shows the threads the target runs on: a Gaussian runs on one
+    for model, threads, shown in [("gaussian:4", "1", 1), ("gaussian:4", "4", 1),
+                                  ("synthetic:40,3,0.5", "2", 2)]:
+        out = tmp_path / "bench.csv"
+        rc = main([
+            "bench-chains", model, "--chain-list", "1,2,4",
+            "--draws-per-chain", "8", "--threads", threads, "--output", str(out),
+        ])
+        assert rc == 0
+        assert f"threads={shown}\n" in capsys.readouterr().out
+        rows = read_bench_csv(out)
+        assert [r["chains"] for r in rows] == [1, 2, 4]
+        for r in rows:
+            assert r["wall_seconds"] > 0
+            assert r["draws_per_second"] > 0
 
 
 def test_bench_chains_usage_errors():

@@ -1,10 +1,9 @@
 """Array key derivations checked bit for bit against numpy's Philox.
 
-fold_in_each, split_each and normal_uniform_each, and the Philox-4x64-10
-under them, must give for every row what the one-key functions give, and
-those must give what a freshly built numpy Philox gives. The sampler's
-per-chain draws are checked against the per-chain loop they replace, and
-whole runs against changes of chain count and thread count.
+fold_in_each and normal_uniform_each, and the Philox-4x64-10 under them,
+must give for every row what a freshly built numpy Philox gives, as the
+one-key functions must. The sampler's zero-uniform rule is checked on its
+own, and whole runs against changes of chain count and thread count.
 """
 
 import functools
@@ -12,6 +11,7 @@ import math
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ from manychain.prng import (
     normal_uniform_each,
     randint,
     split,
-    split_each,
     uniform,
 )
 from manychain.sampler import ChainBatch, HmcConfig, TraceSink, hmc_step, run_chains
@@ -173,26 +172,21 @@ def test_fold_in_each_carries_past_the_last_index(key):
 
 
 @pytest.mark.parametrize("chains", CHAIN_COUNTS)
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_split_each_matches_split(chains, n):
-    parents = fold_in_each(key_from_seed(7), np.arange(chains))
-    parents[0] = ALL_ONES
-    kids = split_each(parents, n)
-    assert kids.shape == (chains, n, 2)
-    for parent, row in zip(as_random_keys(parents), kids):
-        assert as_random_keys(row) == split(parent, n)
-
-
-@pytest.mark.parametrize("chains", CHAIN_COUNTS)
-@pytest.mark.parametrize("size", [1, 3, 4, 5, 24])
-def test_normal_uniform_each_matches_normal_and_uniform(chains, size):
-    kids = split_each(fold_in_each(key_from_seed(8), np.arange(chains)), 2)
-    kids[-1, 1] = ALL_ONES
-    normals, uniforms = normal_uniform_each(kids[:, 0], kids[:, 1], size)
+@pytest.mark.parametrize("size", [0, 1, 3, 4, 5, 7, 24, 49])
+def test_normal_uniform_each_matches_one_philox_stream(chains, size):
+    """Row i's normals are the first size 53-bit integers of a fresh
+    Philox(keys[i]) stream, transformed as normal() documents, and its
+    uniform is the random() that follows. Sizes 3 and 7 put the uniform at
+    the end of a block; sizes 0 and 4 open a new block for it."""
+    keys = fold_in_each(key_from_seed(8), np.arange(chains))
+    keys[-1] = ALL_ONES
+    normals, uniforms = normal_uniform_each(keys, size)
     assert normals.shape == (chains, size) and uniforms.shape == (chains,)
-    for i, (mk, uk) in enumerate(zip(as_random_keys(kids[:, 0]), as_random_keys(kids[:, 1]))):
-        assert same_bits(normals[i], normal(mk, [size]))
-        assert same_bits(uniforms[i], np.float64(uniform(uk)))
+    for i, key in enumerate(as_random_keys(keys)):
+        g = fresh_generator(key, [0, 0, 0, 0])
+        assert same_bits(normals[i], normal_from_bits(g.integers(0, 2**53, size, dtype=U64)))
+        assert same_bits(uniforms[i], np.float64(g.random()))
+        assert same_bits(normals[i], normal(key, [size]))
 
 
 def test_key_array_round_trips_and_rejects_bad_arrays():
@@ -210,28 +204,35 @@ def test_key_array_round_trips_and_rejects_bad_arrays():
     with pytest.raises(TypeError):
         fold_in_each(keys[0], [0.5])
     with pytest.raises(ValueError):
-        split_each(arr, 0)
-    with pytest.raises(ValueError):
-        normal_uniform_each(arr, arr[:3], 2)
+        normal_uniform_each(arr, -1)
 
 
-def test_chain_draws_match_the_per_chain_loop():
-    """sampler._chain_draws against the loop it replaces: per chain, split
-    the key, draw normals, draw a uniform and take math.log of it."""
-    chains = 20_000
-    keys = fold_in_each(key_from_seed(9), np.arange(chains))
-    normals, log_u = sampler._chain_draws(keys, 2)
-    want_normals = np.empty((chains, 2))
-    uniforms = np.empty(chains)
-    for i, kc in enumerate(as_random_keys(keys)):
-        mk, uk = split(kc, 2)
-        want_normals[i] = normal(mk, [2])
-        uniforms[i] = uniform(uk)
-    want_log_u = np.array([math.log(u) if u > 0.0 else -np.inf for u in uniforms])
-    assert same_bits(normals, want_normals)
-    assert same_bits(log_u, want_log_u)
-    # np.log rounds some of these differently, so the check has teeth
-    assert (np.log(uniforms) != want_log_u).any()
+def test_a_zero_uniform_accepts_every_finite_ratio(monkeypatch):
+    """The log of a zero accept uniform is -inf, taken without a warning: its
+    chain accepts a proposal whose ratio no nonzero uniform accepts, while a
+    chain whose ratio is -inf (an overflowing momentum) still rejects."""
+    real = sampler.normal_uniform_each
+
+    def zero_uniforms(keys, size):
+        normals, u = real(keys, size)
+        normals[1] = 1e300
+        u[:2] = 0.0
+        return normals, u
+
+    monkeypatch.setattr(sampler, "normal_uniform_each", zero_uniforms)
+    target = GaussianTarget(3)
+    # step size 3 makes leapfrog unstable on a unit Gaussian: huge energy errors
+    cfg = HmcConfig(step_size=3.0, num_leapfrog_steps=3, jitter=False)
+    batch = ChainBatch.init(target, np.ones((4, 3)))
+    keys = fold_in_each(key_from_seed(11), np.arange(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, out = hmc_step(target, cfg, batch, keys, key_from_seed(12))
+    ratios = out.log_accept_ratio
+    assert np.isfinite(ratios[0]) and ratios[0] < math.log(2.0**-53)
+    assert out.is_accepted[0]
+    assert ratios[1] == -np.inf and not out.is_accepted[1]
+    assert (ratios[2:] < math.log(2.0**-53)).all() and not out.is_accepted[2:].any()
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
