@@ -16,7 +16,8 @@ Every command samples through the sampler's one transition (hmc_step) and,
 for multi-iteration runs, its one loop (run_chains); precision-demo drives
 hmc_step directly with the run key's per-iteration schedule (iteration_keys).
 
-Exit codes: 0 success, 1 a requested check failed, 2 usage or input errors.
+Exit codes: 0 success, 1 a requested check failed, 2 usage, input or output
+errors, such as an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from . import diagnostics as diag
 from .gradients import finite_difference_check
 from .model import (
     Dataset,
-    DatasetError,
     GaussianTarget,
     ModelTarget,
     generate_synthetic,
@@ -199,6 +199,7 @@ def cmd_sample(args) -> int:
         raise UsageError("--warmup must be >= 0")
     if args.retention == "moments-only" and args.chains < 2:
         raise UsageError("moments-only retention needs at least 2 chains for streaming R-hat")
+    os.makedirs(args.output, exist_ok=True)
     target = build_target(args.model, args.precision, data_key, args.threads)
 
     config = HmcConfig(
@@ -229,7 +230,6 @@ def cmd_sample(args) -> int:
     else:
         report = sink.report()
 
-    os.makedirs(args.output, exist_ok=True)
     json_path = os.path.join(args.output, "diagnostics.json")
     write_diagnostics_json(json_path, report)
     written = [json_path]
@@ -431,11 +431,11 @@ def cmd_precision_demo(args) -> int:
     batch = ChainBatch.init(t32, np.tile(z0, (c, 1)))
     naive, stable, oracle = [], [], []
     with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
-        for keys, jitter_key in iteration_keys(run_key, args.steps, c):
-            _, out = hmc_step(t32, naive_config, batch, keys, jitter_key)
+        for step_key, jitter_key in iteration_keys(run_key, args.steps):
+            _, out = hmc_step(t32, naive_config, batch, step_key, jitter_key)
             naive.append(out.log_accept_ratio.astype(np.float64))
             z = batch.z
-            batch, out = hmc_step(t32, stable_config, batch, keys, jitter_key)
+            batch, out = hmc_step(t32, stable_config, batch, step_key, jitter_key)
             stable.append(out.log_accept_ratio.astype(np.float64))
             oracle.append(_double_oracle(t32, t64, out, z))
 
@@ -544,10 +544,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, DatasetError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (UsageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

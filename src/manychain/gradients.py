@@ -42,11 +42,15 @@ def finite_difference_check(target, z, h: float = 1e-5) -> FiniteDifferenceRepor
     _, analytic = target.value_and_grad(z)
     analytic = np.asarray(analytic, dtype=np.float64)
     numeric = np.empty_like(analytic)
-    for i in range(z.size):
-        step = np.zeros_like(z)
-        step[i] = h
-        numeric[i] = (target.log_prob(z + step) - target.log_prob(z - step)) / (2.0 * h)
-    abs_error = np.abs(analytic - numeric)
-    denom = np.maximum(np.abs(analytic), np.abs(numeric))
-    rel_error = np.where(denom > 0.0, abs_error / np.where(denom > 0.0, denom, 1.0), 0.0)
+    # a step that overflows the density gives a non-finite derivative, and a
+    # non-finite derivative on either side certifies nothing: infinite error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(z.size):
+            step = np.zeros_like(z)
+            step[i] = h
+            numeric[i] = (target.log_prob(z + step) - target.log_prob(z - step)) / (2.0 * h)
+        abs_error = np.abs(analytic - numeric)
+        denom = np.maximum(np.abs(analytic), np.abs(numeric))
+        rel_error = np.where(denom > 0.0, abs_error / np.where(denom > 0.0, denom, 1.0), 0.0)
+    rel_error[~(np.isfinite(analytic) & np.isfinite(numeric))] = np.inf
     return FiniteDifferenceReport(analytic, numeric, abs_error, rel_error)

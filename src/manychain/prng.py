@@ -9,9 +9,10 @@ Key derivation (split / fold_in / seed expansion) reads from the same cipher
 but under a reserved counter domain, so derived key material never overlaps
 the bits handed out as draws:
 
-    counter = [index, 0, domain, 0]
+    counter = [index, chain, domain, 0]
 
-with domain 0 for draws, 1 for split, 2 for fold_in, 3 for seed expansion.
+with domain 0 for draws, 1 for split, 2 for fold_in, 3 for seed expansion,
+and chain 0 except in normal_uniform_each.
 Normal variates are produced by inverse-CDF transform of open-interval
 uniforms built from 53 random bits; this choice is fixed so that a given key
 always yields the same bits.
@@ -20,15 +21,15 @@ The functions on one RandomKey read numpy's Philox. Each thread reuses one
 Philox whose state is set to the key and counter asked for, which is what a
 freshly constructed one would hold.
 
-Key arrays: a sampler needs the same derivations for every chain at once, so
-fold_in_each and normal_uniform_each compute them over arrays of keys, a
-(C, 2) uint64 key array holding one key per row as its two Philox key words
-(lo, hi). They run Philox-4x64-10 written in numpy (_philox), a fixed number
-of array operations whatever the number of keys, and give bit for bit what
-numpy's Philox gives for each row, the oracle the tests hold them to.
-normal_uniform_each reads one stream per key for two kinds of draw: its
-normals are normal(key, [size]), and its uniform is the next word of that
-stream, what random() returns on a Generator that has drawn those normals.
+Many chains at once: a sampler draws for every chain each iteration, so
+normal_uniform_each gives them all their draws from one key in one call.
+Philox encrypts any counter on its own, so the chain's index sits in the
+counter rather than in a derived key: chain c reads the draw stream that
+starts at [0, c, 0, 0], which word 0 counts through. It runs
+Philox-4x64-10 written in numpy (_philox), a fixed number of array
+operations whatever the number of chains, and gives bit for bit what
+numpy's Philox(key, counter=[0, c, 0, 0]) gives, the oracle the tests hold
+it to. Chain 0's stream is the one the one-key draws read.
 """
 
 from __future__ import annotations
@@ -254,44 +255,25 @@ def _philox(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
     return out.reshape(shape + (4,))
 
 
-def key_array(keys) -> np.ndarray:
-    """(C, 2) uint64 key array: one key per row as its Philox key words
-    (lo, hi). Takes a sequence of RandomKey, or a key array, which is checked
-    and passed through."""
-    if isinstance(keys, np.ndarray):
-        if keys.dtype != _U64 or keys.ndim != 2 or keys.shape[1] != 2:
-            raise ValueError(f"a key array is (C, 2) uint64, got {keys.dtype} {keys.shape}")
-        return keys
-    return np.array([(k.lo, k.hi) for k in keys], dtype=_U64).reshape(-1, 2)
-
-
-def fold_in_each(key: RandomKey, indices) -> np.ndarray:
-    """Key array whose row i is fold_in(key, indices[i])."""
-    idx = np.asarray(indices)
-    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-        raise TypeError(f"indices must be a 1-D integer array, got {idx.dtype} {idx.shape}")
-    if idx.dtype.kind == "i" and idx.size and idx.min() < 0:
-        raise ValueError(f"fold_in indices must be in [0, 2**64), got {idx.min()}")
-    counter = np.zeros((idx.size, 4), dtype=_U64)
-    counter[:, 0] = idx
-    counter[:, 2] = _DOMAIN_FOLD
-    return _philox(counter, np.array([key.lo, key.hi], dtype=_U64))[:, :2]
-
-
-def normal_uniform_each(keys, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """normal(keys[i], [size]) for every row i, and the uniform the same
-    stream hands out next: the first size + 1 words of row i's draw stream,
-    from one cipher call. Returns float64 arrays (C, size) and (C,)."""
-    keys = key_array(keys)
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
-    # counters [b, 0, domain, 0]: the blocks a draw stream hands out first,
-    # four words each, with room for the uniform after the normals
+def normal_uniform_each(
+    key: RandomKey, num_chains: int, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every chain's normals and uniform from key's draw stream, in one
+    cipher call. Chain c reads the stream from counter [0, c, 0, 0], what
+    Philox(key=key, counter=[0, c, 0, 0]) hands out: its first size words
+    give its normals, transformed as normal() does, and the next word its
+    uniform, as random() draws it. Returns float64 arrays (num_chains, size)
+    and (num_chains,)."""
+    if num_chains < 0 or size < 0:
+        raise ValueError(f"num_chains and size must be >= 0, got {num_chains} and {size}")
+    # counters [b, c, domain, 0]: block b of chain c, four words each, with
+    # room for the uniform after the normals
     blocks = size // 4 + 1
-    counter = np.zeros((blocks, 4), dtype=_U64)
-    counter[:, 0] = np.arange(blocks)
-    counter[:, 2] = _DOMAIN_DRAW
+    counter = np.zeros((num_chains, blocks, 4), dtype=_U64)
+    counter[..., 0] = np.arange(blocks)
+    counter[..., 1] = np.arange(num_chains)[:, None]
+    counter[..., 2] = _DOMAIN_DRAW
     # the top 53 bits of every word, as normal() and uniform() draw them
-    words = _philox(counter, keys[:, None, :]) >> _SHIFT11
-    bits = words.reshape(len(keys), 4 * blocks).astype(np.float64)
+    words = _philox(counter, np.array([key.lo, key.hi], dtype=_U64)) >> _SHIFT11
+    bits = words.reshape(num_chains, 4 * blocks).astype(np.float64)
     return ndtri((bits[:, :size] + 0.5) / _TWO53), bits[:, size] * (1.0 / _TWO53)

@@ -14,12 +14,12 @@ phases (each one run_chains call with a private sink) go through both;
 precision-demo drives hmc_step with the same key schedule.
 
 Randomness per iteration comes from one schedule, iteration_keys: the run's
-root key splits into a step stream and a jitter stream; the iteration's step
-key is folded with each chain index to give per-chain keys, while the jitter
-key is used whole. The per-chain keys travel as one (C, 2) key array
-(prng.key_array). Chain c's key k_c addresses one stream: its momentum is
-normal(k_c, [P]) and its accept uniform is the next draw of the same stream.
-The fold-in and the draws are two array calls for all chains together.
+root key splits into a step stream and a jitter stream, and each iteration
+takes one key from each. No per-chain key is derived: chain c reads the step
+key's draw stream from Philox counter [0, c, 0, 0], its momentum the first P
+draws and its accept uniform the next, and one array call
+(prng.normal_uniform_each) draws them for all chains together. A chain's
+draws therefore do not depend on how many chains run beside it.
 
 Each iteration integrates the whole batch as one array program: hmc_step
 runs _leapfrog, its evaluations and the stable-ratio terms once over all C
@@ -46,14 +46,7 @@ from time import perf_counter
 import numpy as np
 
 from . import diagnostics as diag
-from .prng import (
-    RandomKey,
-    fold_in_each,
-    key_array,
-    normal_uniform_each,
-    randint,
-    split,
-)
+from .prng import RandomKey, normal_uniform_each, randint, split
 
 # warmup step-size controller: harmonic accept it steers to, and its gain
 TARGET_ACCEPT = 0.8
@@ -227,25 +220,21 @@ def hmc_step(
     target,
     config: HmcConfig,
     batch: ChainBatch,
-    step_keys,
+    step_key: RandomKey,
     jitter_key: RandomKey,
     length_fn=None,
 ) -> tuple[ChainBatch, StepOutput]:
     """Advance every chain by one jittered HMC iteration.
 
-    step_keys holds one key per chain, as a (C, 2) key array
-    (prng.key_array) or a sequence of RandomKey, which is converted to one.
-    Chain c's momentum and accept uniform are the first P + 1 draws of its
-    key's stream (prng.normal_uniform_each). jitter_key is a single shared
+    step_key is the iteration's one draw key: chain c's momentum and accept
+    uniform are the first P + 1 words of its stream from counter
+    [0, c, 0, 0] (prng.normal_uniform_each). jitter_key is a single shared
     key from the separate jitter stream.
     length_fn is a test hook replacing the trajectory-length draw; if it
     hands back per-chain lengths that are not all equal the step raises
     LockstepViolationError instead of silently desynchronizing the batch.
     """
     c, p = batch.z.shape
-    step_keys = key_array(step_keys)
-    if len(step_keys) != c:
-        raise ValueError(f"need {c} per-chain keys, got {len(step_keys)}")
     dtype = target.dtype
 
     if length_fn is None:
@@ -268,7 +257,7 @@ def hmc_step(
     inv_mass = None if mass is None else (1.0 / mass).astype(dtype)
     sqrt_mass = None if mass is None else np.sqrt(mass).astype(dtype)
 
-    normals, u = normal_uniform_each(step_keys, p)
+    normals, u = normal_uniform_each(step_key, c, p)
     with np.errstate(divide="ignore"):
         log_u = np.log(u)  # -inf for a zero uniform, which accepts any finite ratio
     m0 = normals.astype(dtype, copy=False)
@@ -458,17 +447,14 @@ class MomentsSink:
         )
 
 
-def iteration_keys(root_key: RandomKey, num_steps: int, num_chains: int):
+def iteration_keys(root_key: RandomKey, num_steps: int):
     """The one per-iteration key schedule. root_key splits into a step
     stream and a jitter stream of num_steps keys each; iteration t yields
-    the step key folded with every chain index, as a (C, 2) key array, and
-    the jitter key whole."""
+    its step key and its jitter key."""
     if num_steps < 1:
         return
     step_root, jitter_root = split(root_key, 2)
-    chain_ids = np.arange(num_chains)
-    for step_key, jitter_key in zip(split(step_root, num_steps), split(jitter_root, num_steps)):
-        yield fold_in_each(step_key, chain_ids), jitter_key
+    yield from zip(split(step_root, num_steps), split(jitter_root, num_steps))
 
 
 def run_chains(
@@ -496,8 +482,8 @@ def run_chains(
 
     t0 = perf_counter()
     accept_total = 0
-    for per_chain, jitter_key in iteration_keys(root_key, num_steps, c):
-        batch, out = hmc_step(target, config, batch, per_chain, jitter_key)
+    for step_key, jitter_key in iteration_keys(root_key, num_steps):
+        batch, out = hmc_step(target, config, batch, step_key, jitter_key)
         if sink is not None:
             sink.record(out)
         accept_total += int(out.is_accepted.sum())
@@ -515,7 +501,9 @@ def run_chains(
 @dataclass
 class WarmupInfo:
     """What the adapted config does not hold; its step_size and mass_diag
-    are the warmup's result."""
+    are the warmup's result. final_harmonic_accept is the mean over the
+    last phase's iterations of each iteration's harmonic accept, the
+    statistic mean_accept_harmonic reports for sampling."""
 
     phase_steps: tuple[int, int, int]
     final_harmonic_accept: float
@@ -523,14 +511,14 @@ class WarmupInfo:
 
 class _StepSizeSearch:
     """Warmup sink that adapts its phase's own config copy in place after
-    every iteration and keeps the last StepOutput."""
+    every iteration and keeps each iteration's harmonic accept."""
 
     def __init__(self, config: HmcConfig):
         self.config = config
-        self.last = None
+        self.harmonic_accepts = []
 
     def record(self, out: StepOutput):
-        self.last = out
+        self.harmonic_accepts.append(out.harmonic_accept)
         probs = diag.accept_probs_from_ratios(out.log_accept_ratio)
         self.config.step_size = adapt_step_size(self.config.step_size, probs)
 
@@ -579,4 +567,4 @@ def warmup_adapt(
     research = _StepSizeSearch(adapted)
     batch = run_chains(target, adapted, batch, k3, n3, sink=research).final_batch
 
-    return adapted, batch, WarmupInfo((n1, n2, n3), research.last.harmonic_accept)
+    return adapted, batch, WarmupInfo((n1, n2, n3), float(np.mean(research.harmonic_accepts)))

@@ -105,7 +105,10 @@ def test_sample_byte_identical_reruns_and_threads(tmp_path):
     assert report == (c / "diagnostics.json").read_bytes()
 
 
-def test_sample_usage_errors(tmp_path, capsys):
+def test_sample_usage_errors(tmp_path, capsys, monkeypatch):
+    # the output directory is made before the model selector is read, so a
+    # bad selector leaves the default one behind: keep it out of the checkout
+    monkeypatch.chdir(tmp_path)
     assert main(["sample", "gaussian:4", "--draws", "0"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["sample", "gaussian:4", "--chains", "0"]) == 2
@@ -130,13 +133,39 @@ def test_sample_usage_errors(tmp_path, capsys):
 @pytest.mark.parametrize("retention", ["full", "moments-only"])
 def test_sample_where_no_chain_moves_has_no_rhat(tmp_path, capsys, retention):
     """Every proposal of a huge step is rejected, so every chain stays at its
-    start: both retentions refuse R-hat alike and write nothing."""
+    start: both retentions refuse R-hat alike and write no file into the
+    output directory, which is made before the run."""
     out = tmp_path / "stuck"
     assert main(["sample", "gaussian:4", "--chains", "3", "--draws", "20", "--warmup", "0",
                  "--no-adapt", "--step-size", "1e6", "--seed", "1",
                  "--retention", retention, "--output", str(out)]) == 2
     assert "no chain moved" in capsys.readouterr().err
-    assert not out.exists()
+    assert list(out.iterdir()) == []
+
+
+def test_unwritable_outputs_are_errors_not_tracebacks(tmp_path, capsys, monkeypatch):
+    """An output path that cannot be written exits 2 with an error line. The
+    sample command finds out before it builds its target, not after the run."""
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    missing = tmp_path / "no" / "such" / "dir"
+    for argv in (
+        ["bench-chains", "gaussian:2", "--chain-list", "1", "--draws-per-chain", "2",
+         "--output", str(missing / "bench.csv")],
+        ["precision-demo", "--model", f"german-credit:{SMALL_CSV}", "--replication", "1",
+         "--steps", "2", "--output", str(missing / "demo.json")],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: [Errno 2] No such file or directory: '{missing}" in err
+
+    def no_target(*args):
+        raise AssertionError("built the target before making the output directory")
+
+    monkeypatch.setattr(cli, "build_target", no_target)
+    assert main(["sample", "gaussian:2", "--output", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_grad_check_exit_codes(capsys, monkeypatch):
@@ -150,6 +179,13 @@ def test_grad_check_exit_codes(capsys, monkeypatch):
                  "--threshold", "1e-14"]) == 1
     captured = capsys.readouterr()
     assert "FAIL" in captured.err
+
+    # a step that overflows the density makes every numeric derivative NaN:
+    # that certifies nothing, so it fails rather than reading as zero error
+    assert main(["grad-check", "gaussian:3", "--fd-step", "1e308", "--states", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "max relative gradient error: inf" in captured.out
+    assert "FAIL" in captured.err and "OK" not in captured.out
 
     assert main(["grad-check", "gaussian:4", "--states", "0"]) == 2
     assert main(["grad-check", "gaussian:4", "--fd-step", "0"]) == 2

@@ -178,8 +178,7 @@ def test_stable_ratio_cache_matches_log_prob_ratio(monkeypatch):
     accepted = rejected = 0
     for t in range(12):
         calls.clear()
-        keys = [fold_in(fold_in(steps, t), i) for i in range(chains)]
-        batch, out = hmc_step(target, cfg, batch, keys, fold_in(jitters, t))
+        batch, out = hmc_step(target, cfg, batch, fold_in(steps, t), fold_in(jitters, t))
         [(z0, m0, z1, m1)] = calls  # one call integrates the whole batch
         kin = (0.5 * ((m0 * m0) - (m1 * m1))).sum(axis=1)
         ok = np.all(np.isfinite(z1), axis=1)

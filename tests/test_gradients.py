@@ -1,5 +1,7 @@
 """Analytic gradients vs independent numerical oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,26 @@ def test_finite_difference_rejects_bad_inputs():
         finite_difference_check(g, np.array([0.0, np.nan, 0.0]))
     with pytest.raises(ValueError):
         finite_difference_check(GaussianTarget(3, precision="single"), np.zeros(3))
+
+
+def test_non_finite_derivative_is_an_infinite_error():
+    # a step so wide that both probes overflow gives a NaN numeric
+    # derivative, which must fail the check rather than count as agreement
+    g = GaussianTarget(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = finite_difference_check(g, np.array([0.5, -1.0, 2.0]), h=1e308)
+    assert not np.isfinite(rep.numeric).any()
+    assert np.all(rep.rel_error == np.inf) and rep.max_rel_error == np.inf
+
+    class InfGradient(GaussianTarget):
+        def value_and_grad(self, z, terms=False):
+            value, grad = super().value_and_grad(z)
+            return value, np.full_like(grad, np.inf)
+
+    rep = finite_difference_check(InfGradient(2), np.array([0.3, 0.1]))
+    assert np.isfinite(rep.numeric).all()
+    assert rep.max_rel_error == np.inf
 
 
 def test_gradient_line_integral_recovers_density_change():

@@ -1,9 +1,10 @@
-"""Array key derivations checked bit for bit against numpy's Philox.
+"""Array draws checked bit for bit against numpy's Philox.
 
-fold_in_each and normal_uniform_each, and the Philox-4x64-10 under them,
-must give for every row what a freshly built numpy Philox gives, as the
-one-key functions must. The sampler's zero-uniform rule is checked on its
-own, and whole runs against changes of chain count and thread count.
+normal_uniform_each, and the Philox-4x64-10 under it, must give for every
+chain what a freshly built numpy Philox gives at that chain's counter, as
+the one-key functions must at theirs. The sampler's one cipher call per
+iteration and its zero-uniform rule are checked on their own, and whole
+runs against changes of chain count and thread count.
 """
 
 import functools
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+import manychain.prng as prng
 import manychain.sampler as sampler
 from manychain.cli import main
 from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
@@ -27,8 +29,6 @@ from manychain.prng import (
     RandomKey,
     _philox,
     fold_in,
-    fold_in_each,
-    key_array,
     key_from_seed,
     normal,
     normal_uniform_each,
@@ -154,57 +154,49 @@ def test_one_key_functions_are_per_thread():
 
 
 @pytest.mark.parametrize("chains", CHAIN_COUNTS)
-@pytest.mark.parametrize("key", [key_from_seed(5)] + EDGE_KEYS, ids=repr)
-def test_fold_in_each_matches_fold_in(key, chains):
-    keys = fold_in_each(key, np.arange(chains))
-    assert keys.shape == (chains, 2) and keys.dtype == U64
-    assert as_random_keys(keys) == [fold_in(key, i) for i in range(chains)]
-
-
-@pytest.mark.parametrize("key", [key_from_seed(6)] + EDGE_KEYS, ids=repr)
-def test_fold_in_each_carries_past_the_last_index(key):
-    """fold_in(key, 2**64 - 1) reads counter [2**64 - 1, 0, 2, 0], which the
-    increment before encryption carries to [0, 1, 2, 0]."""
-    indices = np.array([ALL_ONES, ALL_ONES - 1, 0, 2**63], dtype=U64)
-    got = as_random_keys(fold_in_each(key, indices))
-    assert got == [fold_in(key, int(i)) for i in indices]
-    assert got[0] != got[2]
-
-
-@pytest.mark.parametrize("chains", CHAIN_COUNTS)
 @pytest.mark.parametrize("size", [0, 1, 3, 4, 5, 7, 24, 49])
-def test_normal_uniform_each_matches_one_philox_stream(chains, size):
-    """Row i's normals are the first size 53-bit integers of a fresh
-    Philox(keys[i]) stream, transformed as normal() documents, and its
-    uniform is the random() that follows. Sizes 3 and 7 put the uniform at
-    the end of a block; sizes 0 and 4 open a new block for it."""
-    keys = fold_in_each(key_from_seed(8), np.arange(chains))
-    keys[-1] = ALL_ONES
-    normals, uniforms = normal_uniform_each(keys, size)
+@pytest.mark.parametrize("key", [key_from_seed(8)] + EDGE_KEYS, ids=repr)
+def test_normal_uniform_each_matches_one_philox_stream(key, chains, size):
+    """Chain c's normals are the first size 53-bit integers of a fresh
+    Philox(key, counter=[0, c, 0, 0]) stream, transformed as normal()
+    documents, and its uniform is the random() that follows. Sizes 3 and 7
+    put the uniform at the end of a block; sizes 0 and 4 open a new block
+    for it. Chain 0 reads the stream the one-key draws read."""
+    normals, uniforms = normal_uniform_each(key, chains, size)
     assert normals.shape == (chains, size) and uniforms.shape == (chains,)
-    for i, key in enumerate(as_random_keys(keys)):
-        g = fresh_generator(key, [0, 0, 0, 0])
-        assert same_bits(normals[i], normal_from_bits(g.integers(0, 2**53, size, dtype=U64)))
-        assert same_bits(uniforms[i], np.float64(g.random()))
-        assert same_bits(normals[i], normal(key, [size]))
+    for c in range(chains):
+        g = fresh_generator(key, [0, c, 0, 0])
+        assert same_bits(normals[c], normal_from_bits(g.integers(0, 2**53, size, dtype=U64)))
+        assert same_bits(uniforms[c], np.float64(g.random()))
+    assert same_bits(normals[0], normal(key, [size]))
+    with pytest.raises(ValueError):
+        normal_uniform_each(key, chains, -1)
+    with pytest.raises(ValueError):
+        normal_uniform_each(key, -1, size)
 
 
-def test_key_array_round_trips_and_rejects_bad_arrays():
-    keys = [key_from_seed(s) for s in range(4)]
-    arr = key_array(keys)
-    assert arr.dtype == U64 and arr.shape == (4, 2)
-    assert as_random_keys(arr) == keys
-    assert key_array(arr) is arr
-    assert key_array([]).shape == (0, 2)
-    for bad in (arr.astype(np.int64), arr[:, :1], arr[None]):
-        with pytest.raises(ValueError):
-            key_array(bad)
-    with pytest.raises(ValueError):
-        fold_in_each(keys[0], [-1, 2])
-    with pytest.raises(TypeError):
-        fold_in_each(keys[0], [0.5])
-    with pytest.raises(ValueError):
-        normal_uniform_each(arr, -1)
+@pytest.mark.parametrize("stable", [False, True])
+def test_one_cipher_call_per_iteration(monkeypatch, stable):
+    """Every chain's momentum and accept uniform come from one _philox call
+    per hmc_step, whatever the number of chains."""
+    calls = []
+    real = prng._philox
+
+    def counting_philox(counter, key):
+        calls.append(counter.shape)
+        return real(counter, key)
+
+    monkeypatch.setattr(prng, "_philox", counting_philox)
+    k_data, k_rest = split(key_from_seed(9), 2)
+    target = ModelTarget(generate_synthetic(k_data, 40, 3, 0.5))
+    cfg = HmcConfig(step_size=0.1, num_leapfrog_steps=3, stable_ratio=stable)
+    for chains in (1, 17):
+        z = 0.3 * np.asarray(normal(k_rest, [chains, target.dim]))
+        batch = ChainBatch.init(target, z)
+        calls.clear()
+        for step_key, jitter_key in sampler.iteration_keys(k_rest, 4):
+            batch, _ = hmc_step(target, cfg, batch, step_key, jitter_key)
+        assert calls == [(chains, target.dim // 4 + 1, 4)] * 4
 
 
 def test_a_zero_uniform_accepts_every_finite_ratio(monkeypatch):
@@ -213,8 +205,8 @@ def test_a_zero_uniform_accepts_every_finite_ratio(monkeypatch):
     chain whose ratio is -inf (an overflowing momentum) still rejects."""
     real = sampler.normal_uniform_each
 
-    def zero_uniforms(keys, size):
-        normals, u = real(keys, size)
+    def zero_uniforms(key, chains, size):
+        normals, u = real(key, chains, size)
         normals[1] = 1e300
         u[:2] = 0.0
         return normals, u
@@ -224,38 +216,14 @@ def test_a_zero_uniform_accepts_every_finite_ratio(monkeypatch):
     # step size 3 makes leapfrog unstable on a unit Gaussian: huge energy errors
     cfg = HmcConfig(step_size=3.0, num_leapfrog_steps=3, jitter=False)
     batch = ChainBatch.init(target, np.ones((4, 3)))
-    keys = fold_in_each(key_from_seed(11), np.arange(4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, out = hmc_step(target, cfg, batch, keys, key_from_seed(12))
+        _, out = hmc_step(target, cfg, batch, key_from_seed(11), key_from_seed(12))
     ratios = out.log_accept_ratio
     assert np.isfinite(ratios[0]) and ratios[0] < math.log(2.0**-53)
     assert out.is_accepted[0]
     assert ratios[1] == -np.inf and not out.is_accepted[1]
     assert (ratios[2:] < math.log(2.0**-53)).all() and not out.is_accepted[2:].any()
-
-
-@pytest.mark.parametrize("precision", ["double", "single"])
-@pytest.mark.parametrize("stable", [False, True])
-def test_hmc_step_takes_key_arrays_and_lists_alike(precision, stable):
-    k_data, k_rest = split(key_from_seed(10), 2)
-    target = ModelTarget(generate_synthetic(k_data, 60, 3, 0.5), precision=precision)
-    k_init, k_step, k_jitter = split(k_rest, 3)
-    z = 0.3 * np.asarray(normal(k_init, [19, target.dim]))
-    mass = np.linspace(0.5, 2.0, target.dim)
-    cfg = HmcConfig(step_size=0.2, num_leapfrog_steps=3, mass_diag=mass, stable_ratio=stable)
-    keys = fold_in_each(k_step, np.arange(19))
-    batch = ChainBatch.init(target, z)
-    b_arr, out_arr = hmc_step(target, cfg, batch, keys, k_jitter)
-    b_list, out_list = hmc_step(target, cfg, batch, as_random_keys(keys), k_jitter)
-    for field in ("z", "is_accepted", "log_accept_ratio"):
-        assert same_bits(getattr(out_arr, field), getattr(out_list, field))
-    assert out_arr.num_leapfrog_used == out_list.num_leapfrog_used
-    for field in ("z", "value", "grad", "terms"):
-        assert same_bits(getattr(b_arr, field), getattr(b_list, field))
-    assert out_arr.is_accepted.any() and not out_arr.is_accepted.all()
-    with pytest.raises(ValueError, match="per-chain keys"):
-        hmc_step(target, cfg, batch, keys[:18], k_jitter)
 
 
 def gaussian_trace(chains):
@@ -276,8 +244,8 @@ def forty_chains():
 @settings(max_examples=25, deadline=None)
 def test_chains_do_not_depend_on_chain_count(chains):
     """On a target whose chains do not interact, chain i's draws are the
-    same however many chains run beside it: its keys are fold_in(step key, i)
-    in every layout."""
+    same however many chains run beside it: its draws read the step key's
+    stream at counter [0, i, 0, 0] in every layout."""
     z, ratios = gaussian_trace(chains)
     z_all, ratios_all = forty_chains()
     assert same_bits(z, z_all[:, :chains])

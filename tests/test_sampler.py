@@ -22,6 +22,7 @@ from manychain.sampler import (
     warmup_adapt,
 )
 import manychain.diagnostics as diag
+import manychain.sampler as sampler
 
 
 def small_model(seed=41, rows=100, features=4, threads=1):
@@ -112,9 +113,9 @@ def test_zero_step_size_is_identity_and_accepts():
     key = key_from_seed(61)
     z0 = np.asarray(normal(key, [5, 3]))
     batch = ChainBatch.init(g, z0)
-    keys = [fold_in(key, i) for i in range(5)]
+    step_key = fold_in(key, 0)
     cfg = HmcConfig(step_size=0.0, num_leapfrog_steps=4, jitter=False)
-    new_batch, out = hmc_step(g, cfg, batch, keys, fold_in(key, 99))
+    new_batch, out = hmc_step(g, cfg, batch, step_key, fold_in(key, 99))
     np.testing.assert_array_equal(new_batch.z, z0)
     np.testing.assert_array_equal(out.log_accept_ratio, np.zeros(5))
     assert out.is_accepted.all()
@@ -145,22 +146,25 @@ def test_run_chains_zero_steps():
         run_chains(g, HmcConfig(0.1, 2), z0, key, -1)
 
 
-def test_identical_chain_keys_collapse_chains():
-    # same per-chain key plus same start means bitwise-identical chains;
-    # run_chains must therefore fold the chain index into each step key
+def test_one_iterations_chains_draw_pairwise_distinct_momenta(monkeypatch):
+    # every chain starts at the same state under one step key: only the
+    # chain index in the Philox counter tells their momenta apart
     g = GaussianTarget(4)
     key = key_from_seed(63)
-    z0 = np.zeros((6, 4))
-    batch = ChainBatch.init(g, z0)
-    same = [fold_in(key, 7)] * 6
-    cfg = HmcConfig(step_size=0.3, num_leapfrog_steps=3, jitter=False)
-    _, out = hmc_step(g, cfg, batch, same, fold_in(key, 99))
-    for c in range(1, 6):
-        np.testing.assert_array_equal(out.z[c], out.z[0])
+    batch = ChainBatch.init(g, np.zeros((6, 4)))
+    momenta = []
+    leapfrog = sampler._leapfrog
 
-    distinct = [fold_in(key, c) for c in range(6)]
-    _, out2 = hmc_step(g, cfg, batch, distinct, fold_in(key, 99))
-    assert not np.array_equal(out2.z[1], out2.z[0])
+    def recording_leapfrog(tgt, eps, num_steps, z, m, grad, inv_mass):
+        momenta.append(m)
+        return leapfrog(tgt, eps, num_steps, z, m, grad, inv_mass)
+
+    monkeypatch.setattr(sampler, "_leapfrog", recording_leapfrog)
+    cfg = HmcConfig(step_size=0.3, num_leapfrog_steps=3, jitter=False)
+    _, out = hmc_step(g, cfg, batch, fold_in(key, 7), fold_in(key, 99))
+    [m] = momenta
+    assert len({row.tobytes() for row in m}) == 6
+    assert len({row.tobytes() for row in out.proposal}) == 6
 
 
 def test_estimate_diag_mass_recovers_scales():
@@ -211,9 +215,9 @@ def test_divergent_proposal_rejects_and_keeps_cache():
     target, key = small_model(seed=66)
     z0 = 0.3 * np.asarray(normal(key, [4, target.dim]))
     batch = ChainBatch.init(target, z0)
-    keys = [fold_in(key, i) for i in range(4)]
+    step_key = fold_in(key, 0)
     cfg = HmcConfig(step_size=80.0, num_leapfrog_steps=4, jitter=False)
-    new_batch, out = hmc_step(target, cfg, batch, keys, fold_in(key, 9))
+    new_batch, out = hmc_step(target, cfg, batch, step_key, fold_in(key, 9))
     assert not out.is_accepted.any()
     np.testing.assert_array_equal(out.log_accept_ratio, np.full(4, -np.inf))
     np.testing.assert_array_equal(new_batch.z, batch.z)
@@ -224,9 +228,9 @@ def test_accepted_step_keeps_cache_consistent():
     target, key = small_model(seed=67)
     z0 = 0.3 * np.asarray(normal(key, [4, target.dim]))
     batch = ChainBatch.init(target, z0)
-    keys = [fold_in(key, i) for i in range(4)]
+    step_key = fold_in(key, 0)
     cfg = HmcConfig(step_size=0.02, num_leapfrog_steps=5, jitter=False)
-    new_batch, out = hmc_step(target, cfg, batch, keys, fold_in(key, 9))
+    new_batch, out = hmc_step(target, cfg, batch, step_key, fold_in(key, 9))
     assert out.is_accepted.any()
     new_batch.check_cache(target)
 
@@ -234,15 +238,15 @@ def test_accepted_step_keeps_cache_consistent():
 def test_stable_ratio_matches_energy_difference_in_double():
     target, key = small_model(seed=68)
     z0 = 0.4 * np.asarray(normal(key, [8, target.dim]))
-    keys = [fold_in(key, i) for i in range(8)]
+    step_key = fold_in(key, 0)
     jk = fold_in(key, 99)
     base = dict(step_size=0.03, num_leapfrog_steps=6, jitter=False)
 
     batch = ChainBatch.init(target, z0)
-    _, out_naive = hmc_step(target, HmcConfig(**base), batch, keys, jk)
+    _, out_naive = hmc_step(target, HmcConfig(**base), batch, step_key, jk)
     batch = ChainBatch.init(target, z0)
     _, out_stable = hmc_step(
-        target, HmcConfig(**base, stable_ratio=True), batch, keys, jk
+        target, HmcConfig(**base, stable_ratio=True), batch, step_key, jk
     )
     np.testing.assert_allclose(
         out_stable.log_accept_ratio, out_naive.log_accept_ratio, rtol=0, atol=1e-9
@@ -254,22 +258,22 @@ def test_lockstep_violation_is_raised():
     g = GaussianTarget(2)
     key = key_from_seed(70)
     batch = ChainBatch.init(g, np.zeros((3, 2)))
-    keys = [fold_in(key, i) for i in range(3)]
+    step_key = fold_in(key, 0)
     cfg = HmcConfig(step_size=0.1, num_leapfrog_steps=4)
 
     with pytest.raises(LockstepViolationError, match="lengths differ"):
-        hmc_step(g, cfg, batch, keys, key, length_fn=lambda k: [3, 5, 3])
+        hmc_step(g, cfg, batch, step_key, key, length_fn=lambda k: [3, 5, 3])
 
     # equal per-chain lengths are fine and land in the output
-    _, out = hmc_step(g, cfg, batch, keys, key, length_fn=lambda k: [4, 4, 4])
+    _, out = hmc_step(g, cfg, batch, step_key, key, length_fn=lambda k: [4, 4, 4])
     assert out.num_leapfrog_used == 4
     assert isinstance(out.num_leapfrog_used, int)
 
     # an agreed length must still be a trajectory, and the mass must fit
     with pytest.raises(ValueError, match="trajectory length must be >= 1"):
-        hmc_step(g, cfg, batch, keys, key, length_fn=lambda k: [0])
+        hmc_step(g, cfg, batch, step_key, key, length_fn=lambda k: [0])
     with pytest.raises(ValueError, match=r"mass_diag must have shape \(2,\)"):
-        hmc_step(g, HmcConfig(0.1, 4, mass_diag=np.ones(3)), batch, keys, key)
+        hmc_step(g, HmcConfig(0.1, 4, mass_diag=np.ones(3)), batch, step_key, key)
 
 
 def test_no_threads_or_no_chains_is_rejected():

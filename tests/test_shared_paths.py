@@ -12,7 +12,7 @@ import manychain.cli as cli
 import manychain.diagnostics as diag
 import manychain.sampler as sampler
 from manychain.model import ModelTarget, generate_synthetic
-from manychain.prng import fold_in_each, key_from_seed, normal, split
+from manychain.prng import key_from_seed, normal, split
 from manychain.sampler import (
     ChainBatch,
     HmcConfig,
@@ -38,7 +38,7 @@ def same_bits(a, b):
 def three_phase_loop(target, config, z_init, root_key, num_warmup):
     """warmup_adapt as it was before its phases ran through run_chains: one
     loop per phase with its own key schedule. Returns (step size, mass,
-    final batch, final harmonic accept)."""
+    final batch, mean of the last phase's per-iteration harmonic accepts)."""
     n1 = n3 = max(1, int(round(0.15 * num_warmup)))
     n2 = num_warmup - n1 - n3
     batch = ChainBatch.init(target, z_init)
@@ -47,11 +47,11 @@ def three_phase_loop(target, config, z_init, root_key, num_warmup):
     def phase(key, steps, cfg, adapt_eps, collect):
         nonlocal batch
         moments = None
+        harmonic = []
         step_stream, jitter_stream = (split(k, steps) for k in split(key, 2))
-        chain_ids = np.arange(batch.num_chains)
         for t in range(steps):
-            per_chain = fold_in_each(step_stream[t], chain_ids)
-            batch, out = hmc_step(target, cfg, batch, per_chain, jitter_stream[t])
+            batch, out = hmc_step(target, cfg, batch, step_stream[t], jitter_stream[t])
+            harmonic.append(out.harmonic_accept)
             if adapt_eps:
                 probs = diag.accept_probs_from_ratios(out.log_accept_ratio)
                 cfg.step_size = adapt_step_size(cfg.step_size, probs)
@@ -59,7 +59,7 @@ def three_phase_loop(target, config, z_init, root_key, num_warmup):
                 if moments is None:
                     moments = diag.welford_init(batch.z.shape)
                 moments = diag.welford_update(moments, np.asarray(batch.z, np.float64))
-        return cfg.step_size, moments, out.harmonic_accept
+        return cfg.step_size, moments, float(np.mean(harmonic))
 
     base = replace(config, mass_diag=None)
     eps1, _, _ = phase(k1, n1, replace(base, step_size=config.step_size), True, False)
@@ -92,12 +92,9 @@ def test_warmup_adapt_matches_the_three_phase_loop(threads, precision, stable):
 def test_iteration_keys_is_the_run_chains_schedule():
     root = key_from_seed(52)
     step_root, jitter_root = split(root, 2)
-    schedule = list(iteration_keys(root, 5, 3))
-    assert len(schedule) == 5
-    for t, (keys, jitter_key) in enumerate(schedule):
-        assert same_bits(keys, fold_in_each(split(step_root, 5)[t], np.arange(3)))
-        assert jitter_key == split(jitter_root, 5)[t]
-    assert list(iteration_keys(root, 0, 3)) == []
+    schedule = list(iteration_keys(root, 5))
+    assert schedule == list(zip(split(step_root, 5), split(jitter_root, 5)))
+    assert list(iteration_keys(root, 0)) == []
 
 
 def test_proposal_is_the_pre_select_endpoint():
@@ -108,9 +105,9 @@ def test_proposal_is_the_pre_select_endpoint():
     stable_cfg = replace(naive_cfg, stable_ratio=True)
     batch = ChainBatch.init(target, z0)
     accepted = rejected = 0
-    for keys, jitter_key in iteration_keys(k_run, 6, 20):
-        _, naive = hmc_step(target, naive_cfg, batch, keys, jitter_key)
-        new, out = hmc_step(target, stable_cfg, batch, keys, jitter_key)
+    for step_key, jitter_key in iteration_keys(k_run, 6):
+        _, naive = hmc_step(target, naive_cfg, batch, step_key, jitter_key)
+        new, out = hmc_step(target, stable_cfg, batch, step_key, jitter_key)
         assert same_bits(out.proposal, naive.proposal)
         assert out.num_leapfrog_used == naive.num_leapfrog_used
         acc = out.is_accepted
@@ -133,10 +130,10 @@ def test_demo_oracle_is_minus_inf_where_the_proposal_overflowed():
     z = 0.4 * np.asarray(normal(k_init, [4, t32.dim]))
     z[1:3] += 5.0
     config = HmcConfig(step_size=0.1, num_leapfrog_steps=4, stable_ratio=True)
-    keys, jitter_key = next(iteration_keys(k_run, 1, 4))
+    step_key, jitter_key = next(iteration_keys(k_run, 1))
     with np.errstate(all="ignore"):
         batch = ChainBatch.init(t32, z)
-        _, out = hmc_step(t32, config, batch, keys, jitter_key)
+        _, out = hmc_step(t32, config, batch, step_key, jitter_key)
         got = cli._double_oracle(t32, t64, out, batch.z)
     assert np.array_equal(np.all(np.isfinite(out.proposal), axis=1), [True, False, False, True])
     assert np.array_equal(np.isneginf(got), [False, True, True, False])
