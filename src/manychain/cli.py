@@ -139,20 +139,31 @@ def read_trace_csv(path):
         if header[:2] != ["chain", "draw"] or header[-2:] != ["is_accepted", "log_accept_ratio"]:
             raise ValueError(f"{path}: not a trace CSV")
         names = header[2:-2]
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+        # (line number, fields) of every non-blank row
+        rows = [(n, line.rstrip("\n").split(",")) for n, line in enumerate(fh, 2) if line.strip()]
     if not rows:
         raise ValueError(f"{path}: trace CSV has no rows")
-    c = max(int(r[0]) for r in rows) + 1
-    t = max(int(r[1]) for r in rows) + 1
     p = len(names)
+    for n, r in rows:
+        if len(r) != p + 4 or int(r[0]) < 0 or int(r[1]) < 0:
+            raise ValueError(f"{path}: line {n} is not a row of {p} parameters: {','.join(r)}")
+    c = max(int(r[0]) for _, r in rows) + 1
+    t = max(int(r[1]) for _, r in rows) + 1
     z = np.empty((t, c, p))
     acc = np.empty((t, c), dtype=bool)
     ratios = np.empty((t, c))
-    for r in rows:
+    seen = np.zeros((t, c), dtype=bool)
+    for n, r in rows:
         ci, ti = int(r[0]), int(r[1])
+        if seen[ti, ci]:
+            raise ValueError(f"{path}: line {n} repeats chain {ci}, draw {ti}")
+        seen[ti, ci] = True
         z[ti, ci] = [float(v) for v in r[2 : 2 + p]]
         acc[ti, ci] = r[2 + p] == "1"
         ratios[ti, ci] = float(r[3 + p])
+    if not seen.all():
+        ti, ci = np.argwhere(~seen)[0]
+        raise ValueError(f"{path}: no row for chain {ci}, draw {ti}")
     return names, z, acc, ratios
 
 

@@ -9,32 +9,27 @@ Key derivation (split / fold_in / seed expansion) reads from the same cipher
 but under a reserved counter domain, so derived key material never overlaps
 the bits handed out as draws:
 
-    counter = [index, chain, domain, 0]
+    counter = [index, 0, domain, 0]
 
-with domain 0 for draws, 1 for split, 2 for fold_in, 3 for seed expansion,
-and chain 0 except in normal_uniform_each.
+with domain 0 for draws, 1 for split, 2 for fold_in, 3 for seed expansion.
 Normal variates are produced by inverse-CDF transform of open-interval
 uniforms built from 53 random bits; this choice is fixed so that a given key
 always yields the same bits.
 
-The functions on one RandomKey read numpy's Philox. Each thread reuses one
+Every function reads numpy's Philox through _stream: each thread reuses one
 Philox whose state is set to the key and counter asked for, which is what a
 freshly constructed one would hold.
 
 Many chains at once: a sampler draws for every chain each iteration, so
-normal_uniform_each gives them all their draws from one key in one call.
-Philox encrypts any counter on its own, so the chain's index sits in the
-counter rather than in a derived key: chain c reads the draw stream that
-starts at [0, c, 0, 0], which word 0 counts through. It runs
-Philox-4x64-10 written in numpy (_philox), a fixed number of array
-operations whatever the number of chains, and gives bit for bit what
-numpy's Philox(key, counter=[0, c, 0, 0]) gives, the oracle the tests hold
-it to. Chain 0's stream is the one the one-key draws read.
+normal_uniform_each gives them all their draws from one key in one read of
+its draw stream, laid out chain by chain. Chain c takes the P + 1 words
+from word c * (P + 1): its P normals, then its uniform. A chain's draws
+therefore do not depend on how many chains are drawn beside it, and chain
+0's are the ones the one-key draws read.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
@@ -187,93 +182,19 @@ def randint(key: RandomKey, minval: int, maxval: int, shape=None) -> np.ndarray 
     return gen.integers(minval, maxval, size=shp)
 
 
-# Philox-4x64 round multipliers and key increments (Weyl constants), one row
-# per multiplied counter word (0 and 2). Constants are arrays because numpy
-# ufuncs dispatch faster on array operands than on numpy scalars.
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=_U64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=_U64)
-_PHILOX_ROUNDS = 10
-_LOW32 = np.array(0xFFFFFFFF, dtype=_U64)
-_SHIFT32 = np.array(32, dtype=_U64)
-_SHIFT11 = np.array(11, dtype=_U64)
-_ONE = np.array(1, dtype=_U64)
-_ALL_ONES = np.array(2**64 - 1, dtype=_U64)
-
-
-def _philox(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Philox-4x64-10 blocks over arrays, bit for bit numpy's Philox.
-
-    counter (..., 4) and key (..., 2) are uint64 words in numpy's order and
-    broadcast against each other. As numpy does, each counter is incremented
-    by one, carry included, before it is encrypted, so block i of the result
-    (..., 4) is the first four words Philox(key=key[i], counter=counter[i])
-    hands out.
-    """
-    shape = np.broadcast(counter[..., 0], key[..., 0]).shape
-    n = math.prod(shape)
-    # word-major copies (4, n) and (2, n): each word is one contiguous row
-    ctr = np.empty((4,) + shape, dtype=_U64)
-    for j in range(4):
-        ctr[j] = counter[..., j]
-    k = np.empty((2,) + shape, dtype=_U64)
-    for j in range(2):
-        k[j] = key[..., j]
-    ctr, k = ctr.reshape(4, n), k.reshape(2, n)
-    # the increment carries into a word when every word below it is all ones
-    carry = np.logical_and.accumulate(ctr[:3] == _ALL_ONES, axis=0)
-    ctr[0] += _ONE
-    ctr[1:] += carry
-    # full-size constants keep numpy on its contiguous loops
-    m = np.empty((2, n), dtype=_U64)
-    m[...] = _PHILOX_M
-    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
-    w = np.empty((2, n), dtype=_U64)
-    w[...] = _PHILOX_W
-    a, b = ctr[0::2], ctr[1::2]  # words (0, 2), multiplied, and (1, 3)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k += w
-        # the 128-bit product a * m from 32-bit limbs; no partial sum overflows
-        x_lo, x_hi = a & _LOW32, a >> _SHIFT32
-        mid = x_lo * m_lo
-        mid >>= _SHIFT32
-        mid += x_lo * m_hi
-        mid2 = x_hi * m_lo
-        mid2 += mid & _LOW32
-        hi = x_hi * m_hi
-        hi += mid >> _SHIFT32
-        hi += mid2 >> _SHIFT32
-        lo = a * m
-        # words 0 and 2 take the high halves of the products of words 2 and
-        # 0, words 1 and 3 the low halves
-        a = np.bitwise_xor(hi[::-1], b)
-        a ^= k
-        b = lo[::-1]
-    out = np.empty((n, 4), dtype=_U64)
-    out[:, 0::2] = a.T
-    out[:, 1::2] = b.T
-    return out.reshape(shape + (4,))
-
-
 def normal_uniform_each(
     key: RandomKey, num_chains: int, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every chain's normals and uniform from key's draw stream, in one
-    cipher call. Chain c reads the stream from counter [0, c, 0, 0], what
-    Philox(key=key, counter=[0, c, 0, 0]) hands out: its first size words
-    give its normals, transformed as normal() does, and the next word its
-    uniform, as random() draws it. Returns float64 arrays (num_chains, size)
+    """Every chain's normals and uniform from key's draw stream, in one read.
+
+    The stream is laid out chain by chain: chain c takes words c*(size+1)
+    to c*(size+1)+size, its size normals, transformed as normal() does, and
+    then its uniform, as random() draws it. Chain 0 thus reads what
+    normal(key, [size]) reads. Returns float64 arrays (num_chains, size)
     and (num_chains,)."""
     if num_chains < 0 or size < 0:
         raise ValueError(f"num_chains and size must be >= 0, got {num_chains} and {size}")
-    # counters [b, c, domain, 0]: block b of chain c, four words each, with
-    # room for the uniform after the normals
-    blocks = size // 4 + 1
-    counter = np.zeros((num_chains, blocks, 4), dtype=_U64)
-    counter[..., 0] = np.arange(blocks)
-    counter[..., 1] = np.arange(num_chains)[:, None]
-    counter[..., 2] = _DOMAIN_DRAW
-    # the top 53 bits of every word, as normal() and uniform() draw them
-    words = _philox(counter, np.array([key.lo, key.hi], dtype=_U64)) >> _SHIFT11
-    bits = words.reshape(num_chains, 4 * blocks).astype(np.float64)
+    gen = _stream(key, _DOMAIN_DRAW)
+    k = gen.integers(0, _TWO53, size=(num_chains, size + 1), dtype=np.uint64, endpoint=False)
+    bits = k.astype(np.float64)
     return ndtri((bits[:, :size] + 0.5) / _TWO53), bits[:, size] * (1.0 / _TWO53)

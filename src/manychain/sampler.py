@@ -15,11 +15,11 @@ precision-demo drives hmc_step with the same key schedule.
 
 Randomness per iteration comes from one schedule, iteration_keys: the run's
 root key splits into a step stream and a jitter stream, and each iteration
-takes one key from each. No per-chain key is derived: chain c reads the step
-key's draw stream from Philox counter [0, c, 0, 0], its momentum the first P
-draws and its accept uniform the next, and one array call
-(prng.normal_uniform_each) draws them for all chains together. A chain's
-draws therefore do not depend on how many chains run beside it.
+takes one key from each. No per-chain key is derived: one read of the step
+key's draw stream (prng.normal_uniform_each) serves every chain, laid out
+chain by chain, so chain c takes words c(P + 1) to c(P + 1) + P, its
+momentum and then its accept uniform. A chain's draws therefore do not
+depend on how many chains run beside it.
 
 Each iteration integrates the whole batch as one array program: hmc_step
 runs _leapfrog, its evaluations and the stable-ratio terms once over all C
@@ -227,9 +227,9 @@ def hmc_step(
     """Advance every chain by one jittered HMC iteration.
 
     step_key is the iteration's one draw key: chain c's momentum and accept
-    uniform are the first P + 1 words of its stream from counter
-    [0, c, 0, 0] (prng.normal_uniform_each). jitter_key is a single shared
-    key from the separate jitter stream.
+    uniform are words c(P + 1) to c(P + 1) + P of its draw stream
+    (prng.normal_uniform_each). jitter_key is a single shared key from the
+    separate jitter stream.
     length_fn is a test hook replacing the trajectory-length draw; if it
     hands back per-chain lengths that are not all equal the step raises
     LockstepViolationError instead of silently desynchronizing the batch.
@@ -359,13 +359,11 @@ class TraceSink:
         self._z = []
         self._accepted = []
         self._ratios = []
-        self._lengths = []
 
     def record(self, out: StepOutput):
         self._z.append(out.z)
         self._accepted.append(out.is_accepted)
         self._ratios.append(out.log_accept_ratio)
-        self._lengths.append(out.num_leapfrog_used)
 
     def z_trace(self) -> np.ndarray:
         return np.stack(self._z).astype(np.float64) if self._z else np.zeros((0, 0, 0))
@@ -375,9 +373,6 @@ class TraceSink:
 
     def log_accept_ratios(self) -> np.ndarray:
         return np.stack(self._ratios).astype(np.float64) if self._ratios else np.zeros((0, 0))
-
-    def trajectory_lengths(self) -> np.ndarray:
-        return np.asarray(self._lengths, dtype=np.int64)
 
 
 class MomentsSink:

@@ -315,6 +315,29 @@ def test_trace_csv_round_trip(tmp_path):
         read_trace_csv(bad)
 
 
+def test_trace_csv_with_a_missing_repeated_or_short_row_is_an_error(tmp_path):
+    """Every (chain, draw) pair must have exactly one row of P + 4 fields;
+    a gap would otherwise come back as uninitialised memory."""
+    rng = np.random.default_rng(31)
+    path = tmp_path / "t.csv"
+    write_trace_csv(path, ["a", "b"], rng.normal(size=(8, 7, 2)),
+                    np.ones((8, 7), dtype=bool), rng.normal(size=(8, 7)))
+    header, *rows = path.read_text().splitlines(keepends=True)
+    row = next(i for i, r in enumerate(rows) if r.startswith("3,7,"))
+    cases = {
+        "missing": (rows[:row] + rows[row + 1:], "no row for chain 3, draw 7"),
+        "repeated": (rows + [rows[row]], "line 58 repeats chain 3, draw 7"),
+        "short": (rows[:row] + ["3,7,0.5,1,0.0\n"] + rows[row + 1:], "line 33 is not a row"),
+        "long": (rows[:row] + [rows[row].rstrip() + ",1.0\n"] + rows[row + 1:],
+                 "line 33 is not a row"),
+    }
+    for name, (body, message) in cases.items():
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(header + "".join(body))
+        with pytest.raises(ValueError, match=f"{name}.csv: {message}"):
+            read_trace_csv(bad)
+
+
 def per_cell_trace_csv(path, param_names, z_trace, is_accepted, log_accept_ratios):
     """The trace layout written one cell at a time, repr(float(v)) a float."""
     t, c, _ = z_trace.shape

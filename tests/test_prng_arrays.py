@@ -1,8 +1,8 @@
 """Array draws checked bit for bit against numpy's Philox.
 
-normal_uniform_each, and the Philox-4x64-10 under it, must give for every
-chain what a freshly built numpy Philox gives at that chain's counter, as
-the one-key functions must at theirs. The sampler's one cipher call per
+normal_uniform_each must give, chain by chain, what a freshly built numpy
+Philox gives from the start of the key's draw stream, as the one-key
+functions must at their counters. The sampler's one draw-stream read per
 iteration and its zero-uniform rule are checked on their own, and whole
 runs against changes of chain count and thread count.
 """
@@ -27,7 +27,6 @@ from manychain.cli import main
 from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
 from manychain.prng import (
     RandomKey,
-    _philox,
     fold_in,
     key_from_seed,
     normal,
@@ -68,36 +67,6 @@ def as_random_keys(keys):
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def test_philox_blocks_match_numpy_with_carries():
-    rng = np.random.default_rng(0)
-    counters = rng.integers(0, 2**64, size=(40, 4), dtype=U64)
-    # all-ones low words make the increment carry one, two, three words up,
-    # and an all-ones counter wraps to zero
-    for i, ones in enumerate([1, 2, 3, 4] * 5):
-        counters[i, :ones] = ALL_ONES
-    keys = rng.integers(0, 2**64, size=(40, 2), dtype=U64)
-    keys[::3] = ALL_ONES
-    keys[1::7, 0] = 0
-    blocks = _philox(counters, keys)
-    assert blocks.shape == (40, 4) and blocks.dtype == U64
-    for c, k, got in zip(counters, keys, blocks):
-        want = np.random.Philox(key=k, counter=c).random_raw(4)
-        assert same_bits(got, want)
-
-
-def test_philox_broadcasts_counters_against_keys():
-    rng = np.random.default_rng(1)
-    counters = rng.integers(0, 2**64, size=(3, 1, 4), dtype=U64)
-    keys = rng.integers(0, 2**64, size=(1, 5, 2), dtype=U64)
-    blocks = _philox(counters, keys)
-    assert blocks.shape == (3, 5, 4)
-    for i in range(3):
-        for j in range(5):
-            assert same_bits(blocks[i, j], _philox(counters[i, 0], keys[0, j]))
-            want = np.random.Philox(key=keys[0, j], counter=counters[i, 0]).random_raw(4)
-            assert same_bits(blocks[i, j], want)
 
 
 @pytest.mark.parametrize("key", [key_from_seed(3)] + EDGE_KEYS, ids=repr)
@@ -157,46 +126,66 @@ def test_one_key_functions_are_per_thread():
 @pytest.mark.parametrize("size", [0, 1, 3, 4, 5, 7, 24, 49])
 @pytest.mark.parametrize("key", [key_from_seed(8)] + EDGE_KEYS, ids=repr)
 def test_normal_uniform_each_matches_one_philox_stream(key, chains, size):
-    """Chain c's normals are the first size 53-bit integers of a fresh
-    Philox(key, counter=[0, c, 0, 0]) stream, transformed as normal()
-    documents, and its uniform is the random() that follows. Sizes 3 and 7
-    put the uniform at the end of a block; sizes 0 and 4 open a new block
-    for it. Chain 0 reads the stream the one-key draws read."""
+    """The draws are the first chains * (size + 1) 53-bit integers of a
+    fresh Philox(key, counter=[0, 0, 0, 0]) stream, laid out chain by chain:
+    each row's first size words are its normals, transformed as normal()
+    documents, and its last word its uniform, as random() draws it. Chain 0
+    reads what normal(key, [size]) reads."""
     normals, uniforms = normal_uniform_each(key, chains, size)
     assert normals.shape == (chains, size) and uniforms.shape == (chains,)
-    for c in range(chains):
-        g = fresh_generator(key, [0, c, 0, 0])
-        assert same_bits(normals[c], normal_from_bits(g.integers(0, 2**53, size, dtype=U64)))
-        assert same_bits(uniforms[c], np.float64(g.random()))
+    k = fresh_generator(key, [0, 0, 0, 0]).integers(0, 2**53, (chains, size + 1), dtype=U64)
+    assert same_bits(normals, normal_from_bits(k[:, :size]))
+    assert same_bits(uniforms, k[:, size].astype(np.float64) / 2**53)
     assert same_bits(normals[0], normal(key, [size]))
+    # the last chain's uniform is the random() that follows its normals
+    g = fresh_generator(key, [0, 0, 0, 0])
+    g.integers(0, 2**53, chains * (size + 1) - 1, dtype=U64)
+    assert same_bits(uniforms[-1], np.float64(g.random()))
     with pytest.raises(ValueError):
         normal_uniform_each(key, chains, -1)
     with pytest.raises(ValueError):
         normal_uniform_each(key, -1, size)
 
 
+@given(seed=st.integers(0, 2**64 - 1), chains=st.integers(0, 40), more=st.integers(0, 40),
+       size=st.integers(0, 30))
+@settings(max_examples=50, deadline=None)
+def test_normal_uniform_each_rows_do_not_depend_on_chain_count(seed, chains, more, size):
+    """Drawing for more chains only appends rows: the first chains rows are
+    the same bits at any larger chain count."""
+    key = key_from_seed(seed)
+    normals, uniforms = normal_uniform_each(key, chains, size)
+    normals_all, uniforms_all = normal_uniform_each(key, chains + more, size)
+    assert same_bits(normals, normals_all[:chains])
+    assert same_bits(uniforms, uniforms_all[:chains])
+
+
 @pytest.mark.parametrize("stable", [False, True])
 def test_one_cipher_call_per_iteration(monkeypatch, stable):
-    """Every chain's momentum and accept uniform come from one _philox call
-    per hmc_step, whatever the number of chains."""
-    calls = []
-    real = prng._philox
+    """Every chain's momentum and accept uniform come from one read of the
+    draw stream per hmc_step, whatever the number of chains; the jitter's
+    randint is the step's only other draw-stream read."""
+    reads = []
+    real = prng._stream
 
-    def counting_philox(counter, key):
-        calls.append(counter.shape)
-        return real(counter, key)
+    def counting_stream(key, domain, index=0):
+        if domain == prng._DOMAIN_DRAW:
+            reads.append(key)
+        return real(key, domain, index)
 
-    monkeypatch.setattr(prng, "_philox", counting_philox)
+    monkeypatch.setattr(prng, "_stream", counting_stream)
     k_data, k_rest = split(key_from_seed(9), 2)
     target = ModelTarget(generate_synthetic(k_data, 40, 3, 0.5))
     cfg = HmcConfig(step_size=0.1, num_leapfrog_steps=3, stable_ratio=stable)
     for chains in (1, 17):
         z = 0.3 * np.asarray(normal(k_rest, [chains, target.dim]))
         batch = ChainBatch.init(target, z)
-        calls.clear()
-        for step_key, jitter_key in sampler.iteration_keys(k_rest, 4):
+        keys = list(sampler.iteration_keys(k_rest, 4))
+        reads.clear()
+        for step_key, jitter_key in keys:
             batch, _ = hmc_step(target, cfg, batch, step_key, jitter_key)
-        assert calls == [(chains, target.dim // 4 + 1, 4)] * 4
+        # each step reads its jitter key (randint), then its step key
+        assert reads == [k for step_key, jitter_key in keys for k in (jitter_key, step_key)]
 
 
 def test_a_zero_uniform_accepts_every_finite_ratio(monkeypatch):
@@ -244,8 +233,8 @@ def forty_chains():
 @settings(max_examples=25, deadline=None)
 def test_chains_do_not_depend_on_chain_count(chains):
     """On a target whose chains do not interact, chain i's draws are the
-    same however many chains run beside it: its draws read the step key's
-    stream at counter [0, i, 0, 0] in every layout."""
+    same however many chains run beside it: it reads words i(P + 1) to
+    i(P + 1) + P of the step key's stream in every layout."""
     z, ratios = gaussian_trace(chains)
     z_all, ratios_all = forty_chains()
     assert same_bits(z, z_all[:, :chains])

@@ -313,6 +313,18 @@ def test_chain_batch_validation():
         ChainBatch.init(target, dead)
 
 
+class LengthTraceSink(TraceSink):
+    """A TraceSink that also keeps each iteration's trajectory length."""
+
+    def __init__(self):
+        super().__init__()
+        self.lengths = []
+
+    def record(self, out):
+        super().record(out)
+        self.lengths.append(out.num_leapfrog_used)
+
+
 def test_run_chains_traces_and_determinism():
     target, key = small_model(seed=72, rows=60, features=3)
     k_init, k_run = split(key, 2)
@@ -322,7 +334,7 @@ def test_run_chains_traces_and_determinism():
     sinks = []
     threaded, _ = small_model(seed=72, rows=60, features=3, threads=2)
     for t in (target, target, threaded):  # third run exercises the pool path
-        sink = TraceSink()
+        sink = LengthTraceSink()
         summary = run_chains(t, cfg, z0.copy(), k_run, 50, sink=sink)
         assert summary.num_steps == 50 and summary.num_chains == 20
         assert summary.draws_per_second > 0
@@ -331,7 +343,7 @@ def test_run_chains_traces_and_determinism():
     a, b, c = sinks
     assert a.z_trace().shape == (50, 20, target.dim)
     assert a.is_accepted().shape == (50, 20) and a.is_accepted().dtype == bool
-    lengths = a.trajectory_lengths()
+    lengths = np.asarray(a.lengths)
     assert lengths.shape == (50,)
     assert lengths.min() >= 1 and lengths.max() <= 8  # jittered around base 4
     assert len(np.unique(lengths)) > 1
