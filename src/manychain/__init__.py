@@ -31,7 +31,7 @@ from .model import (
 )
 from .prng import (
     RandomKey,
-    fold_in,
+    children,
     key_from_seed,
     normal,
     randint,

@@ -17,7 +17,7 @@ for multi-iteration runs, its one loop (run_chains); precision-demo drives
 hmc_step directly with the run key's per-iteration schedule (iteration_keys).
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage, input or output
-errors, such as an output path that cannot be written.
+errors, such as an output path that cannot be written, and memory exhaustion.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .model import (
     load_csv_dataset,
     replicate_dataset,
 )
-from .prng import fold_in, key_from_seed, normal, split
+from .prng import key_from_seed, normal, split
 from .sampler import (
     ChainBatch,
     HmcConfig,
@@ -186,13 +186,15 @@ def read_bench_csv(path):
         header = fh.readline().rstrip("\n")
         if header != "chains,wall_seconds,draws_per_second":
             raise ValueError(f"{path}: not a bench CSV")
-        for line in fh:
+        for n, line in enumerate(fh, 2):
             if not line.strip():
                 continue
-            c, w, d = line.rstrip("\n").split(",")
-            out.append(
-                {"chains": int(c), "wall_seconds": float(w), "draws_per_second": float(d)}
-            )
+            try:
+                c, w, d = line.rstrip("\n").split(",")
+                row = {"chains": int(c), "wall_seconds": float(w), "draws_per_second": float(d)}
+            except ValueError:
+                raise ValueError(f"{path}: line {n} is not a bench row: {line.rstrip()}") from None
+            out.append(row)
     return out
 
 
@@ -292,12 +294,13 @@ def cmd_bench_chains(args) -> int:
     rows = []
     print(f"model={args.model}  draws/chain={args.draws_per_chain}  "
           f"leapfrog={args.leapfrog_steps} (jittered)  threads={threads}")
+    warm_key, timed_key = split(run_key, 2)  # the same chains at every count
     for c in chain_counts:
         try:
-            z0 = initial_states(fold_in(init_key, c), c, target.dim)
+            z0 = initial_states(init_key, c, target.dim)
             # one discarded warm-start iteration, then the timed run
-            warm = run_chains(target, config, z0, fold_in(run_key, 0), 1, sink=None)
-            summary = run_chains(target, config, warm.final_batch, fold_in(run_key, c),
+            warm = run_chains(target, config, z0, warm_key, 1, sink=None)
+            summary = run_chains(target, config, warm.final_batch, timed_key,
                                  args.draws_per_chain, sink=None)
             row = {
                 "chains": c,
@@ -557,6 +560,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

@@ -5,13 +5,13 @@ is reproducible from its root seed alone and chains can be given independent
 streams without any shared mutable generator state.
 
 Construction: keys index Philox-4x64 streams (numpy's implementation).
-Key derivation (split / fold_in / seed expansion) reads from the same cipher
-but under a reserved counter domain, so derived key material never overlaps
-the bits handed out as draws:
+Key derivation (children / split / seed expansion) reads from the same
+cipher but under a reserved counter domain, so derived key material never
+overlaps the bits handed out as draws:
 
     counter = [index, 0, domain, 0]
 
-with domain 0 for draws, 1 for split, 2 for fold_in, 3 for seed expansion.
+with domain 0 for draws, 1 for a key's children, 3 for seed expansion.
 Normal variates are produced by inverse-CDF transform of open-interval
 uniforms built from 53 random bits; this choice is fixed so that a given key
 always yields the same bits.
@@ -32,14 +32,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 from scipy.special import ndtri
 
 _DOMAIN_DRAW = 0
 _DOMAIN_SPLIT = 1
-_DOMAIN_FOLD = 2
 _DOMAIN_SEED = 3
+_CHILDREN_PER_READ = 64  # children built per split-domain read, two per Philox block
 
 # arbitrary odd 64-bit constant (golden ratio fraction), fixed forever:
 # it keys the expansion of user seeds into root keys.
@@ -112,25 +113,22 @@ def key_from_seed(seed: int) -> RandomKey:
     return RandomKey(int(hi), int(lo))
 
 
-def split(key: RandomKey, n: int) -> list[RandomKey]:
-    """Derive n child keys from key.
+def children(key: RandomKey):
+    """Key's children, in order and without end: the consecutive 128-bit
+    blocks of its split-domain stream, deterministic in the key and
+    independent of anything drawn from it. Each read of the stream builds
+    the next _CHILDREN_PER_READ children at once."""
+    for block in count(0, _CHILDREN_PER_READ // 2):
+        words = _stream(key, _DOMAIN_SPLIT, index=block).bit_generator.random_raw(
+            2 * _CHILDREN_PER_READ)
+        yield from [RandomKey(hi, lo) for lo, hi in words.reshape(-1, 2).tolist()]
 
-    Children are consecutive 128-bit blocks of the parent's split-domain
-    stream, so they are deterministic in the parent and statistically
-    independent of anything drawn from it.
-    """
+
+def split(key: RandomKey, n: int) -> list[RandomKey]:
+    """key's first n children."""
     if n < 1:
         raise ValueError(f"split needs n >= 1, got {n}")
-    words = _stream(key, _DOMAIN_SPLIT).bit_generator.random_raw(2 * n)
-    return [RandomKey(int(words[2 * i + 1]), int(words[2 * i])) for i in range(n)]
-
-
-def fold_in(key: RandomKey, index: int) -> RandomKey:
-    """Derive the child key for a structural index (e.g. a chain number)."""
-    if index < 0 or index >= 2**64:
-        raise ValueError(f"fold_in index must be in [0, 2**64), got {index}")
-    lo, hi = _stream(key, _DOMAIN_FOLD, index=int(index)).bit_generator.random_raw(2)
-    return RandomKey(int(hi), int(lo))
+    return list(islice(children(key), n))
 
 
 def _resolve_shape(shape):

@@ -14,12 +14,12 @@ phases (each one run_chains call with a private sink) go through both;
 precision-demo drives hmc_step with the same key schedule.
 
 Randomness per iteration comes from one schedule, iteration_keys: the run's
-root key splits into a step stream and a jitter stream, and each iteration
-takes one key from each. No per-chain key is derived: one read of the step
-key's draw stream (prng.normal_uniform_each) serves every chain, laid out
-chain by chain, so chain c takes words c(P + 1) to c(P + 1) + P, its
-momentum and then its accept uniform. A chain's draws therefore do not
-depend on how many chains run beside it.
+root key splits into a step root and a jitter root, and iteration t takes
+child t of each, derived as the loop reaches it. No per-chain key is
+derived: one read of the step key's draw stream (prng.normal_uniform_each)
+serves every chain, laid out chain by chain, so chain c takes words c(P + 1)
+to c(P + 1) + P, its momentum and then its accept uniform. A chain's draws
+therefore do not depend on how many chains run beside it.
 
 Each iteration integrates the whole batch as one array program: hmc_step
 runs _leapfrog, its evaluations and the stable-ratio terms once over all C
@@ -41,12 +41,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 from time import perf_counter
 
 import numpy as np
 
 from . import diagnostics as diag
-from .prng import RandomKey, normal_uniform_each, randint, split
+from .prng import RandomKey, children, normal_uniform_each, randint, split
 
 # warmup step-size controller: harmonic accept it steers to, and its gain
 TARGET_ACCEPT = 0.8
@@ -443,13 +444,11 @@ class MomentsSink:
 
 
 def iteration_keys(root_key: RandomKey, num_steps: int):
-    """The one per-iteration key schedule. root_key splits into a step
-    stream and a jitter stream of num_steps keys each; iteration t yields
-    its step key and its jitter key."""
-    if num_steps < 1:
-        return
+    """The one per-iteration key schedule. root_key splits into a step root
+    and a jitter root; iteration t takes child t of each, which it derives
+    as it goes, so the schedule's memory does not grow with num_steps."""
     step_root, jitter_root = split(root_key, 2)
-    yield from zip(split(step_root, num_steps), split(jitter_root, num_steps))
+    return islice(zip(children(step_root), children(jitter_root)), num_steps)
 
 
 def run_chains(

@@ -19,7 +19,7 @@ import manychain.diagnostics as diag
 from manychain.cli import main, read_bench_csv, read_trace_csv
 from manychain.gradients import finite_difference_check
 from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
-from manychain.prng import fold_in, key_from_seed, normal, split
+from manychain.prng import key_from_seed, normal, split
 from manychain.sampler import (
     ChainBatch,
     HmcConfig,
@@ -241,7 +241,7 @@ def test_criterion_7_lockstep_invariant():
     batch = ChainBatch.init(g, z0)
     tripped = False
     try:
-        hmc_step(g, cfg, batch, fold_in(k_run, 0), k_run,
+        hmc_step(g, cfg, batch, split(k_run, 1)[0], k_run,
                  length_fn=lambda k: list(range(1, 65)))
     except LockstepViolationError:
         tripped = True

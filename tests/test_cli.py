@@ -5,6 +5,7 @@ emitted files are read back with the package's own readers, and
 diagnostics.json with json."""
 
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -166,6 +167,26 @@ def test_unwritable_outputs_are_errors_not_tracebacks(tmp_path, capsys, monkeypa
     assert main(["sample", "gaussian:2", "--output", str(taken)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert taken.read_text() == "not a directory\n"
+
+
+def test_memory_exhaustion_is_an_error_not_a_traceback(tmp_path, capsys):
+    """A run too large to allocate exits 2 with an error line, and
+    bench-chains keeps going with a NaN row for that count. The sizes ask
+    numpy for exabytes, which it refuses before allocating anything."""
+    huge = "100000000000000000"
+    for argv in (
+        ["sample", "gaussian:4", "--chains", huge, "--draws", "10", "--warmup", "0",
+         "--output", str(tmp_path / "run")],
+        ["grad-check", "gaussian:3", "--states", huge],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+    out = tmp_path / "bench.csv"
+    assert main(["bench-chains", "gaussian:4", "--chain-list", f"2,{huge}",
+                 "--draws-per-chain", "2", "--output", str(out)]) == 0
+    assert f"chains={huge}: allocation failed" in capsys.readouterr().err
+    rows = read_bench_csv(out)
+    assert rows[0]["draws_per_second"] > 0 and np.isnan(rows[1]["draws_per_second"])
 
 
 def test_grad_check_exit_codes(capsys, monkeypatch):
@@ -386,6 +407,14 @@ def test_bench_csv_round_trip(tmp_path):
 
     with pytest.raises(ValueError, match="not a bench CSV"):
         read_bench_csv(SMALL_CSV)
+
+
+@pytest.mark.parametrize("row", ["1,0.5", "1,0.5,2.0,3", "x,0.5,2.0"])
+def test_bench_csv_with_a_malformed_row_names_its_line(tmp_path, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"chains,wall_seconds,draws_per_second\n1,0.5,2.0\n\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: line 4 is not a bench row: {row}")):
+        read_bench_csv(bad)
 
 
 def test_build_target_selectors():

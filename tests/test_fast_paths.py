@@ -19,7 +19,7 @@ from manychain.model import (
     _sign_residuals,
     generate_synthetic,
 )
-from manychain.prng import fold_in, key_from_seed, normal, split
+from manychain.prng import key_from_seed, normal, split
 from manychain.sampler import ChainBatch, HmcConfig, hmc_step
 
 
@@ -176,9 +176,9 @@ def test_stable_ratio_cache_matches_log_prob_ratio(monkeypatch):
     monkeypatch.setattr(sampler, "_leapfrog", recording_leapfrog)
     steps, jitters = split(k_run, 2)
     accepted = rejected = 0
-    for t in range(12):
+    for step_key, jitter_key in zip(split(steps, 12), split(jitters, 12)):
         calls.clear()
-        batch, out = hmc_step(target, cfg, batch, fold_in(steps, t), fold_in(jitters, t))
+        batch, out = hmc_step(target, cfg, batch, step_key, jitter_key)
         [(z0, m0, z1, m1)] = calls  # one call integrates the whole batch
         kin = (0.5 * ((m0 * m0) - (m1 * m1))).sum(axis=1)
         ok = np.all(np.isfinite(z1), axis=1)

@@ -1,11 +1,13 @@
 """Key derivation and draw-distribution checks for the counter-based PRNG."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manychain.prng import RandomKey, fold_in, key_from_seed, normal, randint, split, uniform
+from manychain.prng import RandomKey, children, key_from_seed, normal, randint, split, uniform
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -42,12 +44,13 @@ def test_split_children_distinct_three_levels():
     assert _as_tuple(root) not in leaves
 
 
-def test_fold_in_distinct_and_deterministic():
+def test_children_are_split_walked_on():
+    """A key's children go on past any split: split(key, n) is their first n,
+    and a thousand of them are distinct from each other and from the key."""
     key = key_from_seed(5)
-    children = [fold_in(key, i) for i in range(1000)]
-    assert len({_as_tuple(c) for c in children}) == 1000
-    assert _as_tuple(fold_in(key, 42)) == _as_tuple(children[42])
-    assert _as_tuple(fold_in(key, 42)) != _as_tuple(key)
+    walked = list(islice(children(key), 1000))
+    assert walked[:130] == split(key, 130)
+    assert len({_as_tuple(c) for c in walked} | {_as_tuple(key)}) == 1001
 
 
 def test_seeds_map_to_distinct_keys():
@@ -136,8 +139,6 @@ def test_error_cases():
         split(key_from_seed(0), 0)
     with pytest.raises(ValueError):
         randint(key_from_seed(0), 5, 5)
-    with pytest.raises(ValueError):
-        fold_in(key_from_seed(0), -1)
     with pytest.raises(ValueError):
         RandomKey(-1, 0)
     with pytest.raises(ValueError):

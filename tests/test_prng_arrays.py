@@ -27,7 +27,6 @@ from manychain.cli import main
 from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
 from manychain.prng import (
     RandomKey,
-    fold_in,
     key_from_seed,
     normal,
     normal_uniform_each,
@@ -72,12 +71,12 @@ def same_bits(a, b):
 @pytest.mark.parametrize("key", [key_from_seed(3)] + EDGE_KEYS, ids=repr)
 def test_one_key_functions_match_a_fresh_philox(key):
     """The reused per-thread Philox gives what a newly built one gives, in
-    each counter domain: 0 draws, 1 split, 2 fold_in, 3 seed expansion."""
-    words = fresh_generator(key, [0, 0, 1, 0]).integers(0, 2**64, size=6, dtype=U64)
-    assert as_random_keys(words.reshape(3, 2)) == split(key, 3)
-    for index in (0, 7, ALL_ONES):
-        lo, hi = fresh_generator(key, [index, 0, 2, 0]).integers(0, 2**64, size=2, dtype=U64)
-        assert fold_in(key, index) == RandomKey(int(hi), int(lo))
+    each counter domain: 0 draws, 1 split, 3 seed expansion. split's keys are
+    the split-domain stream's consecutive 128-bit blocks, also where they
+    cross from one read of the stream to the next."""
+    for n in (3, 64, 65, 130):
+        words = fresh_generator(key, [0, 0, 1, 0]).integers(0, 2**64, size=2 * n, dtype=U64)
+        assert as_random_keys(words.reshape(n, 2)) == split(key, n)
     assert same_bits(uniform(key, 9), fresh_generator(key, [0, 0, 0, 0]).random(9))
     assert uniform(key) == fresh_generator(key, [0, 0, 0, 0]).random()
     k = fresh_generator(key, [0, 0, 0, 0]).integers(0, 2**53, size=7, dtype=U64)
@@ -96,14 +95,14 @@ def test_one_key_functions_match_a_fresh_philox(key):
 def test_one_key_functions_are_per_thread():
     """Threads deriving keys at once each get the sequential answers."""
     roots = [key_from_seed(s) for s in range(6)]
-    want = {r: ([fold_in(r, i) for i in range(40)], split(r, 5), normal(r, 3).tobytes())
+    want = {r: (split(r, 70), split(r, 5), normal(r, 3).tobytes())
             for r in roots}
     got, errors = {}, []
 
     def work(r):
         try:
             for _ in range(20):
-                got[r] = ([fold_in(r, i) for i in range(40)], split(r, 5), normal(r, 3).tobytes())
+                got[r] = (split(r, 70), split(r, 5), normal(r, 3).tobytes())
                 assert got[r] == want[r]
         except Exception as exc:  # recorded and asserted on below
             errors.append(exc)

@@ -6,7 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
-from manychain.prng import fold_in, key_from_seed, normal, split
+from manychain.prng import key_from_seed, normal, split
 from manychain.sampler import (
     ChainBatch,
     HmcConfig,
@@ -96,7 +96,7 @@ def test_trajectory_length_draws():
     key = key_from_seed(60)
     assert draw_trajectory_length(key, 10, jitter=False) == 10
     lengths = np.array(
-        [draw_trajectory_length(fold_in(key, i), 10, jitter=True) for i in range(100_000)]
+        [draw_trajectory_length(k, 10, jitter=True) for k in split(key, 100_000)]
     )
     assert lengths.min() == 1
     assert lengths.max() == 20  # uniform on {1, ..., 2 * base}
@@ -113,9 +113,9 @@ def test_zero_step_size_is_identity_and_accepts():
     key = key_from_seed(61)
     z0 = np.asarray(normal(key, [5, 3]))
     batch = ChainBatch.init(g, z0)
-    step_key = fold_in(key, 0)
+    step_key, jitter_key = split(key, 2)
     cfg = HmcConfig(step_size=0.0, num_leapfrog_steps=4, jitter=False)
-    new_batch, out = hmc_step(g, cfg, batch, step_key, fold_in(key, 99))
+    new_batch, out = hmc_step(g, cfg, batch, step_key, jitter_key)
     np.testing.assert_array_equal(new_batch.z, z0)
     np.testing.assert_array_equal(out.log_accept_ratio, np.zeros(5))
     assert out.is_accepted.all()
@@ -161,7 +161,7 @@ def test_one_iterations_chains_draw_pairwise_distinct_momenta(monkeypatch):
 
     monkeypatch.setattr(sampler, "_leapfrog", recording_leapfrog)
     cfg = HmcConfig(step_size=0.3, num_leapfrog_steps=3, jitter=False)
-    _, out = hmc_step(g, cfg, batch, fold_in(key, 7), fold_in(key, 99))
+    _, out = hmc_step(g, cfg, batch, *split(key, 2))
     [m] = momenta
     assert len({row.tobytes() for row in m}) == 6
     assert len({row.tobytes() for row in out.proposal}) == 6
@@ -215,9 +215,9 @@ def test_divergent_proposal_rejects_and_keeps_cache():
     target, key = small_model(seed=66)
     z0 = 0.3 * np.asarray(normal(key, [4, target.dim]))
     batch = ChainBatch.init(target, z0)
-    step_key = fold_in(key, 0)
+    step_key, jitter_key = split(key, 2)
     cfg = HmcConfig(step_size=80.0, num_leapfrog_steps=4, jitter=False)
-    new_batch, out = hmc_step(target, cfg, batch, step_key, fold_in(key, 9))
+    new_batch, out = hmc_step(target, cfg, batch, step_key, jitter_key)
     assert not out.is_accepted.any()
     np.testing.assert_array_equal(out.log_accept_ratio, np.full(4, -np.inf))
     np.testing.assert_array_equal(new_batch.z, batch.z)
@@ -228,9 +228,9 @@ def test_accepted_step_keeps_cache_consistent():
     target, key = small_model(seed=67)
     z0 = 0.3 * np.asarray(normal(key, [4, target.dim]))
     batch = ChainBatch.init(target, z0)
-    step_key = fold_in(key, 0)
+    step_key, jitter_key = split(key, 2)
     cfg = HmcConfig(step_size=0.02, num_leapfrog_steps=5, jitter=False)
-    new_batch, out = hmc_step(target, cfg, batch, step_key, fold_in(key, 9))
+    new_batch, out = hmc_step(target, cfg, batch, step_key, jitter_key)
     assert out.is_accepted.any()
     new_batch.check_cache(target)
 
@@ -238,8 +238,7 @@ def test_accepted_step_keeps_cache_consistent():
 def test_stable_ratio_matches_energy_difference_in_double():
     target, key = small_model(seed=68)
     z0 = 0.4 * np.asarray(normal(key, [8, target.dim]))
-    step_key = fold_in(key, 0)
-    jk = fold_in(key, 99)
+    step_key, jk = split(key, 2)
     base = dict(step_size=0.03, num_leapfrog_steps=6, jitter=False)
 
     batch = ChainBatch.init(target, z0)
@@ -258,7 +257,7 @@ def test_lockstep_violation_is_raised():
     g = GaussianTarget(2)
     key = key_from_seed(70)
     batch = ChainBatch.init(g, np.zeros((3, 2)))
-    step_key = fold_in(key, 0)
+    step_key = split(key, 1)[0]
     cfg = HmcConfig(step_size=0.1, num_leapfrog_steps=4)
 
     with pytest.raises(LockstepViolationError, match="lengths differ"):

@@ -3,6 +3,7 @@ replaced: warmup_adapt against its former three-phase loop with its own key
 schedule, StepOutput.proposal against the accept select, and
 the precision demo's float64 oracle against a fully independent one."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -90,11 +91,27 @@ def test_warmup_adapt_matches_the_three_phase_loop(threads, precision, stable):
 
 
 def test_iteration_keys_is_the_run_chains_schedule():
+    """Iteration t takes child t of the step root and of the jitter root,
+    also across reads of their split-domain streams (64 keys a read)."""
     root = key_from_seed(52)
     step_root, jitter_root = split(root, 2)
-    schedule = list(iteration_keys(root, 5))
-    assert schedule == list(zip(split(step_root, 5), split(jitter_root, 5)))
     assert list(iteration_keys(root, 0)) == []
+    for n in (5, 63, 64, 65, 200):
+        schedule = list(iteration_keys(root, n))
+        assert schedule == list(zip(split(step_root, n), split(jitter_root, n)))
+
+
+def test_iteration_keys_derives_keys_as_it_goes():
+    """The schedule's memory does not grow with its length: the first
+    iteration's keys of a 10**5-iteration schedule allocate under 1 MiB."""
+    root = key_from_seed(53)
+    tracemalloc.start()
+    try:
+        next(iteration_keys(root, 10**5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_proposal_is_the_pre_select_endpoint():
