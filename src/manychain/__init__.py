@@ -3,9 +3,8 @@
 from .diagnostics import (
     DegenerateTraceError,
     DiagnosticsReport,
+    RunStatistics,
     StreamingMoments,
-    chees,
-    esjd,
     ess,
     harmonic_mean_acceptance,
     report_from_trace,

@@ -133,7 +133,8 @@ def write_trace_csv(path, param_names, z_trace, is_accepted, log_accept_ratios):
 
 
 def read_trace_csv(path):
-    """Returns (param_names, z (T, C, P), is_accepted (T, C), ratios (T, C))."""
+    """Returns (param_names, z (T, C, P), is_accepted (T, C), ratios (T, C)).
+    A malformed row raises ValueError naming the file and its line."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header[:2] != ["chain", "draw"] or header[-2:] != ["is_accepted", "log_accept_ratio"]:
@@ -145,7 +146,8 @@ def read_trace_csv(path):
         raise ValueError(f"{path}: trace CSV has no rows")
     p = len(names)
     for n, r in rows:
-        if len(r) != p + 4 or int(r[0]) < 0 or int(r[1]) < 0:
+        # chain and draw indices, P parameters, a 0 or 1 accept flag, a ratio
+        if len(r) != p + 4 or not (r[0].isdigit() and r[1].isdigit() and r[-2] in ("0", "1")):
             raise ValueError(f"{path}: line {n} is not a row of {p} parameters: {','.join(r)}")
     c = max(int(r[0]) for _, r in rows) + 1
     t = max(int(r[1]) for _, r in rows) + 1
@@ -158,9 +160,12 @@ def read_trace_csv(path):
         if seen[ti, ci]:
             raise ValueError(f"{path}: line {n} repeats chain {ci}, draw {ti}")
         seen[ti, ci] = True
-        z[ti, ci] = [float(v) for v in r[2 : 2 + p]]
+        try:
+            z[ti, ci] = [float(v) for v in r[2 : 2 + p]]
+            ratios[ti, ci] = float(r[3 + p])
+        except ValueError as e:
+            raise ValueError(f"{path}: line {n}: {e}") from None
         acc[ti, ci] = r[2 + p] == "1"
-        ratios[ti, ci] = float(r[3 + p])
     if not seen.all():
         ti, ci = np.argwhere(~seen)[0]
         raise ValueError(f"{path}: no row for chain {ci}, draw {ti}")

@@ -4,7 +4,9 @@ Moment accumulation is single-pass Welford with a Chan-style merge, so
 per-chain moments can be combined across chains (or across workers) without
 a second pass over draws. Mixing diagnostics follow the split-chain R-hat
 and the multi-chain autocorrelation ESS with Geyer initial-positive-pairs
-truncation. Everything here runs in float64 regardless of the precision the
+truncation. ESJD, ChEES, the harmonic accept and the roundoff fraction
+are streamed by RunStatistics, which both retentions fold their draws
+through. Everything here runs in float64 regardless of the precision the
 sampler itself used; diagnostics are too cheap to be worth corrupting.
 
 1-D traces are treated as a single chain; 2-D traces are draws x chains.
@@ -181,34 +183,6 @@ def ess(trace) -> float:
     return float(c * t / tau)
 
 
-def esjd(prev_batch, next_batch) -> float:
-    """Expected squared jump distance between two (..., P) batches, averaged
-    over every leading axis: chains for one transition, or steps and chains
-    for a stacked run."""
-    prev = np.atleast_2d(np.asarray(prev_batch, dtype=np.float64))
-    nxt = np.atleast_2d(np.asarray(next_batch, dtype=np.float64))
-    if prev.shape != nxt.shape:
-        raise ValueError(f"batch shapes differ: {prev.shape} vs {nxt.shape}")
-    jump = nxt - prev
-    return float((jump * jump).sum(axis=-1).mean())
-
-
-def chees(prev_batch, next_batch, center) -> float:
-    """Change in squared distance from center, squared, averaged over every
-    leading axis as in esjd, divided by 4. center should be the current
-    cross-chain location estimate; the statistic is invariant to translating
-    all three together."""
-    prev = np.atleast_2d(np.asarray(prev_batch, dtype=np.float64))
-    nxt = np.atleast_2d(np.asarray(next_batch, dtype=np.float64))
-    if prev.shape != nxt.shape:
-        raise ValueError(f"batch shapes differ: {prev.shape} vs {nxt.shape}")
-    ctr = np.asarray(center, dtype=np.float64)
-    d_next = ((nxt - ctr) ** 2).sum(axis=-1)
-    d_prev = ((prev - ctr) ** 2).sum(axis=-1)
-    diff = d_next - d_prev
-    return float(0.25 * (diff * diff).mean())
-
-
 def roundoff_suspicion(log_accept_ratios) -> float:
     """Fraction of finite, moderate log accept ratios sitting exactly on the
     quarter-integer grid, the residue large cancelled float totals leave
@@ -277,34 +251,87 @@ def accept_probs_from_ratios(log_accept_ratios) -> np.ndarray:
     return np.clip(np.exp(np.minimum(r, 0.0)), 1e-10, 1.0)
 
 
+class RunStatistics:
+    """Streams the statistics taken over transitions, for both retentions:
+    ESJD, ChEES, the mean harmonic accept and the roundoff grid count.
+
+    ChEES is centred on the final cross-chain mean, unknown while draws
+    stream in, so each transition's change in squared distance a is taken
+    about a fixed anchor (the first iteration's cross-chain mean) along with
+    its jump j, and sum(a^2), sum(a j) and sum(j j^T) are kept. Moving the
+    centre by d shifts a by -2 d.j, so at report time
+    sum((a - 2 d.j)^2) = sum(a^2) - 4 d.sum(a j) + 4 d^T sum(j j^T) d.
+    ESJD is trace(sum(j j^T)) over the (T - 1) C jumps. Memory is O(P^2).
+    """
+
+    def __init__(self):
+        self._steps = 0
+        self._prev = None  # the last iteration's draws
+
+    def update(self, z, log_accept_ratio):
+        """Fold in one iteration's (C, P) draws and (C,) log accept ratios."""
+        z = np.asarray(z, dtype=np.float64)
+        r = np.asarray(log_accept_ratio, dtype=np.float64)
+        if z.ndim != 2 or r.shape != z.shape[:1]:
+            raise ValueError(f"need (C, P) draws and (C,) ratios, got {z.shape} and {r.shape}")
+        if self._prev is None:
+            p = z.shape[1]
+            self._anchor = z.mean(axis=0)
+            self._draw_sum, self._aj, self._jj = np.zeros(p), np.zeros(p), np.zeros((p, p))
+            self._aa, self._harmonic_sum, self._grid_hits = 0.0, 0.0, 0
+        elif z.shape != self._prev.shape:
+            raise ValueError(f"draws changed shape from {self._prev.shape} to {z.shape}")
+        sq = ((z - self._anchor) ** 2).sum(axis=1)
+        if self._steps:
+            jump = z - self._prev
+            a = sq - self._prev_sq
+            self._aa += float(a @ a)
+            self._aj += a @ jump
+            self._jj += jump.T @ jump
+        self._prev, self._prev_sq = z, sq
+        self._draw_sum += z.sum(axis=0)
+        self._harmonic_sum += harmonic_mean_acceptance(accept_probs_from_ratios(r))
+        self._grid_hits += roundoff_grid_hits(r)
+        self._steps += 1
+
+    def report(self, rhat, ess=None, ess_tau=None) -> DiagnosticsReport:
+        """The folded run's report, carrying the given R-hat and ESS fields.
+        mean_accept_harmonic averages each iteration's harmonic mean across
+        chains: pooling 1/p over the run would let one deep rejection dominate."""
+        if self._steps < 2:
+            raise ValueError(f"need at least 2 iterations, have {self._steps}")
+        t, c = self._steps, self._prev.shape[0]
+        d = self._draw_sum / (t * c) - self._anchor
+        sq_sum = self._aa - 4.0 * (d @ self._aj) + 4.0 * (d @ self._jj @ d)
+        return DiagnosticsReport(
+            rhat=[float(v) for v in rhat],
+            ess=ess,
+            ess_tau=ess_tau,
+            esjd=float(np.trace(self._jj)) / ((t - 1) * c),
+            chees=float(0.25 * sq_sum) / ((t - 1) * c),
+            mean_accept_harmonic=self._harmonic_sum / t,
+            roundoff_flag_fraction=self._grid_hits / (t * c),
+        )
+
+
 def report_from_trace(z_trace, log_accept_ratios, tau_trace=None) -> DiagnosticsReport:
     """Build the full report from retained draws.
 
     z_trace is (T, C, P) post-warmup unconstrained draws, log_accept_ratios
-    is (T, C); tau_trace, when given, is (T, C) constrained tau draws.
+    is (T, C); tau_trace, when given, is (T, C) constrained tau draws. Rows
+    fold through RunStatistics as MomentsSink folds its stream: same bits.
     """
     z = np.asarray(z_trace, dtype=np.float64)
-    ratios = np.asarray(log_accept_ratios, dtype=np.float64)
     if z.ndim != 3:
         raise ValueError(f"z_trace must be (T, C, P), got shape {z.shape}")
-    t, c, p = z.shape
+    t, _, p = z.shape
     if t < 8:
         raise ValueError(f"need at least 8 retained draws, got {t}")
-    rhat = [split_rhat(z[:, :, d]) for d in range(p)]
-    ess_dims = [ess(z[:, :, d]) for d in range(p)]
-    ess_tau = None if tau_trace is None else ess(tau_trace)
-
-    # Mean over iterations of the per-iteration harmonic mean across chains.
-    # Pooling 1/p over the whole trace would let one deep rejection dominate.
-    probs = accept_probs_from_ratios(ratios)
-    hm_per_step = [harmonic_mean_acceptance(probs[i]) for i in range(probs.shape[0])]
-
-    return DiagnosticsReport(
-        rhat=rhat,
-        ess=ess_dims,
-        ess_tau=ess_tau,
-        esjd=esjd(z[:-1], z[1:]),
-        chees=chees(z[:-1], z[1:], z.mean(axis=(0, 1))),
-        mean_accept_harmonic=float(np.mean(hm_per_step)),
-        roundoff_flag_fraction=roundoff_suspicion(ratios),
+    stats = RunStatistics()
+    for zi, ri in zip(z, log_accept_ratios, strict=True):
+        stats.update(zi, ri)
+    return stats.report(
+        rhat=[split_rhat(z[:, :, d]) for d in range(p)],
+        ess=[ess(z[:, :, d]) for d in range(p)],
+        ess_tau=None if tau_trace is None else ess(tau_trace),
     )

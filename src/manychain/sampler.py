@@ -367,80 +367,31 @@ class TraceSink:
         self._ratios.append(out.log_accept_ratio)
 
     def z_trace(self) -> np.ndarray:
-        return np.stack(self._z).astype(np.float64) if self._z else np.zeros((0, 0, 0))
+        return np.stack(self._z, dtype=np.float64) if self._z else np.zeros((0, 0, 0))
 
     def is_accepted(self) -> np.ndarray:
         return np.stack(self._accepted) if self._accepted else np.zeros((0, 0), dtype=bool)
 
     def log_accept_ratios(self) -> np.ndarray:
-        return np.stack(self._ratios).astype(np.float64) if self._ratios else np.zeros((0, 0))
+        return np.stack(self._ratios, dtype=np.float64) if self._ratios else np.zeros((0, 0))
 
 
 class MomentsSink:
-    """Streams draws into Welford moments plus running ESJD/ChEES; keeps no
-    trace. R-hat comes from the streamed moments; per-lag ESS is unavailable
-    at this retention level.
-
-    ChEES is centred on the final mean, as report_from_trace centres it.
-    That mean is unknown while draws stream in, so each transition's change
-    in squared distance a is taken about a fixed anchor (the first recorded
-    cross-chain mean) along with its jump j, and sum(a^2), sum(a j) and
-    sum(j j^T) are kept. Moving the centre by d shifts a by -2 d.j, so at
-    report time sum((a - 2 d.j)^2) = sum(a^2) - 4 d.sum(a j) + 4 d^T sum(j j^T) d.
-    This costs O(P^2) memory.
-
-    Every count the report divides by derives from moments.count: T steps
-    recorded, T - 1 jumps and T * C accept ratios.
-    """
+    """Streams draws into Welford moments and a diag.RunStatistics; keeps no
+    trace. R-hat comes from the moments; per-lag ESS is unavailable. Every
+    other field has the bits report_from_trace gives for the same draws."""
 
     def __init__(self):
-        self.moments: diag.StreamingMoments | None = None
-        self._prev = None
-        self._esjd_sum = 0.0
-        self._anchor = None
-        self._aa = 0.0
-        self._aj = None
-        self._jj = None
-        self._step_hm_sum = 0.0
-        self._flag_count = 0
+        self.moments = diag.welford_init()
+        self.stats = diag.RunStatistics()
 
     def record(self, out: StepOutput):
         z = np.asarray(out.z, dtype=np.float64)
-        if self.moments is None:
-            self.moments = diag.welford_init(z.shape)
-            self._anchor = z.mean(axis=0)
-            self._aj = np.zeros(z.shape[1])
-            self._jj = np.zeros((z.shape[1], z.shape[1]))
-        if self._prev is not None:
-            self._esjd_sum += diag.esjd(self._prev, z)
-            jump = z - self._prev
-            a = ((z - self._anchor) ** 2).sum(axis=1)
-            a -= ((self._prev - self._anchor) ** 2).sum(axis=1)
-            self._aa += float(a @ a)
-            self._aj += a @ jump
-            self._jj += jump.T @ jump
         self.moments = diag.welford_update(self.moments, z)
-        self._prev = z
-
-        self._step_hm_sum += out.harmonic_accept
-        self._flag_count += diag.roundoff_grid_hits(out.log_accept_ratio)
+        self.stats.update(z, out.log_accept_ratio)
 
     def report(self) -> diag.DiagnosticsReport:
-        if self.moments is None or self.moments.count < 2:
-            raise ValueError("not enough recorded draws for a report")
-        rhat = diag.streaming_rhat(self.moments)
-        steps, chains = self.moments.count, self.moments.mean.shape[0]
-        d = self.moments.mean.mean(axis=0) - self._anchor
-        sq_sum = self._aa - 4.0 * (d @ self._aj) + 4.0 * (d @ self._jj @ d)
-        return diag.DiagnosticsReport(
-            rhat=[float(v) for v in rhat],
-            ess=None,
-            ess_tau=None,
-            esjd=self._esjd_sum / (steps - 1),
-            chees=0.25 * sq_sum / ((steps - 1) * chains),
-            mean_accept_harmonic=self._step_hm_sum / steps,
-            roundoff_flag_fraction=self._flag_count / (steps * chains),
-        )
+        return self.stats.report(diag.streaming_rhat(self.moments))
 
 
 def iteration_keys(root_key: RandomKey, num_steps: int):
@@ -521,13 +472,10 @@ class _DrawMoments:
     """Warmup sink that collects per-chain Welford moments of the draws."""
 
     def __init__(self):
-        self.moments = None
+        self.moments = diag.welford_init()
 
     def record(self, out: StepOutput):
-        z = np.asarray(out.z, dtype=np.float64)
-        if self.moments is None:
-            self.moments = diag.welford_init(z.shape)
-        self.moments = diag.welford_update(self.moments, z)
+        self.moments = diag.welford_update(self.moments, out.z)
 
 
 def warmup_adapt(

@@ -359,6 +359,29 @@ def test_trace_csv_with_a_missing_repeated_or_short_row_is_an_error(tmp_path):
             read_trace_csv(bad)
 
 
+def test_trace_csv_with_a_bad_field_names_its_line(tmp_path):
+    """A non-numeric field or an accept flag other than 0 or 1 is an error
+    that names the file and the line, never a bare conversion message or a
+    silent False."""
+    rng = np.random.default_rng(32)
+    path = tmp_path / "t.csv"
+    write_trace_csv(path, ["a", "b"], rng.normal(size=(4, 3, 2)),
+                    np.ones((4, 3), dtype=bool), rng.normal(size=(4, 3)))
+    header, *rows = path.read_text().splitlines(keepends=True)
+    cases = {
+        "chain": ("x,1,0.5,0.5,1,-0.1\n", "line 3 is not a row"),
+        "draw": ("0,-1,0.5,0.5,1,-0.1\n", "line 3 is not a row"),
+        "flag": ("0,1,0.5,0.5,7,-0.1\n", "line 3 is not a row"),
+        "param": ("0,1,abc,0.5,1,-0.1\n", "line 3: could not convert string to float: 'abc'"),
+        "ratio": ("0,1,0.5,0.5,0,oops\n", "line 3: could not convert string to float: 'oops'"),
+    }
+    for name, (row, message) in cases.items():
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(header + rows[0] + row + "".join(rows[2:]))
+        with pytest.raises(ValueError, match=f"{name}.csv: {message}"):
+            read_trace_csv(bad)
+
+
 def per_cell_trace_csv(path, param_names, z_trace, is_accepted, log_accept_ratios):
     """The trace layout written one cell at a time, repr(float(v)) a float."""
     t, c, _ = z_trace.shape

@@ -4,6 +4,7 @@ the code under test."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +14,9 @@ from hypothesis import strategies as st
 from manychain.diagnostics import (
     DegenerateTraceError,
     DiagnosticsReport,
+    RunStatistics,
     StreamingMoments,
     accept_probs_from_ratios,
-    chees,
-    esjd,
     ess,
     harmonic_mean_acceptance,
     merge_chain_axis,
@@ -209,28 +209,100 @@ def test_ess_errors():
         ess(np.full((20, 3), 0.1))
 
 
+def fold(z, ratios=None):
+    """The report RunStatistics gives for a (T, C, P) trace; ratios default to 0."""
+    stats = RunStatistics()
+    for i, zi in enumerate(np.asarray(z, dtype=np.float64)):
+        stats.update(zi, np.zeros(len(zi)) if ratios is None else ratios[i])
+    return stats.report(rhat=[])
+
+
 def test_esjd_by_hand():
-    assert esjd([[0.0]], [[1.0]]) == 1.0
+    assert fold([[[0.0]], [[1.0]]]).esjd == 1.0
     # chains jump 1 and 9 squared units: mean 5
-    assert esjd([[0.0], [0.0]], [[1.0], [3.0]]) == 5.0
+    assert fold([[[0.0], [0.0]], [[1.0], [3.0]]]).esjd == 5.0
+    # jumps of 1 then 2 (squared 1 and 4) over two transitions: mean 2.5
+    assert fold([[[0.0]], [[1.0]], [[3.0]]]).esjd == 2.5
+    stats = RunStatistics()
+    stats.update([[0.0]], [0.0])
+    with pytest.raises(ValueError, match="changed shape"):
+        stats.update([[1.0], [2.0]], [0.0, 0.0])
     with pytest.raises(ValueError):
-        esjd([[0.0]], [[1.0], [2.0]])
+        stats.update([[1.0]], [0.0, 0.0])  # ratios must be (C,)
+    with pytest.raises(ValueError, match="at least 2 iterations"):
+        stats.report(rhat=[1.0])
 
 
 def test_chees_by_hand():
-    # d(next)^2 = 4, d(prev)^2 = 1, so ((4 - 1)^2) / 4 = 2.25
-    assert chees([[0.0]], [[3.0]], [1.0]) == 2.25
+    # draws 0, 3, 3 centre on 2: squared distances 4, 1, 1 change by -3
+    # and 0, so ChEES = (9 + 0) / 2 transitions / 4 = 1.125
+    assert fold([[[0.0]], [[3.0]], [[3.0]]]).chees == 1.125
+    # two chains, 0 -> 2 and 2 -> 0, centre 1: no change in distance
+    assert fold([[[0.0], [2.0]], [[2.0], [0.0]]]).chees == 0.0
 
 
 def test_chees_translation_invariant():
     rng = np.random.default_rng(18)
-    prev = rng.normal(size=(6, 3))
-    nxt = rng.normal(size=(6, 3))
-    ctr = rng.normal(size=3)
+    z = np.cumsum(rng.normal(size=(12, 6, 3)), axis=0)
     shift = np.array([10.0, -4.0, 2.5])
-    a = chees(prev, nxt, ctr)
-    b = chees(prev + shift, nxt + shift, ctr + shift)
+    a = fold(z).chees
+    b = fold(z + shift).chees
     assert a == pytest.approx(b, rel=1e-9)
+
+
+def two_pass_esjd_chees(z):
+    """ESJD and ChEES of a (T, C, P) trace, by numpy in two passes."""
+    jump = z[1:] - z[:-1]
+    sq = ((z - z.mean(axis=(0, 1))) ** 2).sum(axis=-1)
+    change = sq[1:] - sq[:-1]
+    return (jump * jump).sum(axis=-1).mean(), 0.25 * (change * change).mean()
+
+
+@given(
+    t=st.integers(3, 40),
+    c=st.integers(2, 6),
+    p=st.integers(1, 4),
+    drift=st.floats(0.0, 1.0),
+    shift=st.floats(-1e4, 1e4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_folded_esjd_and_chees_match_two_pass(t, c, p, drift, shift, seed):
+    """Random walks with drift, shifted far from the origin: the streamed
+    anchor algebra matches the two-pass formulas."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(size=(t, c, p)) + drift * rng.uniform(-1.0, 1.0, size=p)
+    z = shift + np.cumsum(steps, axis=0)
+    esjd_ref, chees_ref = two_pass_esjd_chees(z)
+    rep = fold(z)
+    assert rep.esjd == pytest.approx(esjd_ref, rel=1e-12)
+    assert rep.chees == pytest.approx(chees_ref, rel=1e-9)
+
+
+def test_report_from_trace_folds_rows_through_run_statistics():
+    rng = np.random.default_rng(23)
+    z = np.cumsum(rng.normal(size=(16, 4, 3)), axis=0)
+    ratios = -rng.exponential(size=(16, 4))
+    ratios[3, 1] = -0.25  # one quarter-grid ratio
+    rep = report_from_trace(z, ratios)
+    folded = fold(z, ratios)
+    for field in ("esjd", "chees", "mean_accept_harmonic", "roundoff_flag_fraction"):
+        assert getattr(rep, field) == getattr(folded, field)
+    assert rep.roundoff_flag_fraction == 1 / 64
+
+
+def test_report_from_trace_peak_memory_stays_small():
+    """Folding row by row keeps no (T, C, P) temporaries alive."""
+    rng = np.random.default_rng(24)
+    z = rng.normal(size=(1000, 64, 49))
+    ratios = -rng.exponential(size=(1000, 64))
+    tracemalloc.start()
+    try:
+        report_from_trace(z, ratios)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_roundoff_suspicion_counts_grid_points():

@@ -207,14 +207,17 @@ def test_check_cache_catches_stale_terms():
 
 
 def test_chees_agrees_between_retentions(tmp_path):
+    """Full and moments-only retention write the same bits for every
+    statistic taken over transitions."""
     args = ["sample", "gaussian:10", "--chains", "16", "--draws", "400",
             "--warmup", "100", "--seed", "2"]
-    chees = {}
+    reports = {}
     for retention in ("full", "moments-only"):
         out = tmp_path / retention
         assert main(args + ["--retention", retention, "--output", str(out)]) == 0
-        chees[retention] = json.loads((out / "diagnostics.json").read_text())["chees"]
-    assert chees["moments-only"] == pytest.approx(chees["full"], rel=1e-9, abs=0.0)
+        reports[retention] = json.loads((out / "diagnostics.json").read_text())
+    for field in ("esjd", "chees", "mean_accept_harmonic", "roundoff_flag_fraction"):
+        assert reports["moments-only"][field] == reports["full"][field], field
 
 
 # Logits at the edges of the fused observation term: 0, tiny, moderate,

@@ -382,14 +382,11 @@ def test_sinks_agree_on_shared_statistics(chains, steps, model, precision, stabl
         rep_m = moments.report()
     except diag.DegenerateTraceError:
         reject()  # too few moves for R-hat: at large steps every proposal can be rejected
-    assert rep_t.esjd == pytest.approx(rep_m.esjd, rel=1e-12)
-    assert rep_t.chees == pytest.approx(rep_m.chees, rel=1e-9)
-    assert rep_t.mean_accept_harmonic == pytest.approx(
-        rep_m.mean_accept_harmonic, rel=1e-12
-    )
+    # both retentions fold the same draws through one RunStatistics
+    for field in ("esjd", "chees", "mean_accept_harmonic", "roundoff_flag_fraction"):
+        assert getattr(rep_t, field) == getattr(rep_m, field), field
     assert rep_m.ess is None and rep_m.ess_tau is None
     assert rep_t.ess is not None
-    assert rep_t.roundoff_flag_fraction == rep_m.roundoff_flag_fraction
 
 
 def test_warmup_adapt_shapes_and_validation():
