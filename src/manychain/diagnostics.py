@@ -214,7 +214,19 @@ def harmonic_mean_acceptance(probs) -> float:
         raise ValueError("no acceptance probabilities given")
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise ValueError("acceptance probabilities must lie in (0, 1]")
+    return _harmonic_mean(p)
+
+
+def _harmonic_mean(p) -> float:
+    """n / sum(1/p) of a 1-D float64 array of probabilities in (0, 1]."""
     return float(p.size / (1.0 / p).sum())
+
+
+def harmonic_accept(log_accept_ratios) -> float:
+    """One iteration's harmonic mean acceptance from its (C,) log accept
+    ratios. accept_probs_from_ratios puts every probability in [1e-10, 1],
+    so nothing is checked again."""
+    return _harmonic_mean(accept_probs_from_ratios(log_accept_ratios))
 
 
 @dataclass
@@ -290,7 +302,7 @@ class RunStatistics:
             self._jj += jump.T @ jump
         self._prev, self._prev_sq = z, sq
         self._draw_sum += z.sum(axis=0)
-        self._harmonic_sum += harmonic_mean_acceptance(accept_probs_from_ratios(r))
+        self._harmonic_sum += harmonic_accept(r)
         self._grid_hits += roundoff_grid_hits(r)
         self._steps += 1
 

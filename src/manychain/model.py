@@ -16,6 +16,11 @@ Bernoulli terms take the margin m = sign * logit (sign = 2y - 1), one matmul
 per evaluation: log p(y | logit) = min(m, 0) - log1p(exp(-|m|)), and the
 gradient residual y - sigmoid(logit) = sign / (1 + exp(m)).
 
+ModelTarget holds the signed design matrix xs = sign * x in two row-major
+layouts, so BLAS reads each product's operand in the layout it runs fastest
+on: the margins product coefs @ xs.T reads a (D, N) copy of the transpose,
+and the residual product res @ xs reads the (N, D) matrix itself.
+
 The base class Target checks states (dtype cast, finiteness, shape, width)
 and writes log_prob, grad, value_and_grad and log_prob_ratio once; a target
 (ModelTarget, GaussianTarget) supplies dim, param_names() and three hooks on
@@ -36,12 +41,15 @@ grad(z) is the gradient alone, bitwise equal to value_and_grad(z)[1]: the
 gradient code exists once and both call it.
 
 A (C, P) batch evaluates as a whole except for the per-observation (C, N)
-pipeline, which runs BLOCK_ROWS rows at a time from row 0: gemm rounds
-differently at other row counts, so the blocks keep every row's bits
-independent of C. This is also the one place threads act:
-ModelTarget(threads=T) hands contiguous groups of these blocks to at most T
-workers, the calling thread and T - 1 pool workers, and each group writes
-its own rows, so no row's bits depend on T either.
+pipeline, which runs BLOCK_ROWS rows at a time from row 0, so every row of
+a batch is bitwise that row of its block evaluated alone. The blocks do not
+make a row independent of C: a product with fewer rows (the last block,
+when C is not a multiple of BLOCK_ROWS) may round a row differently from a
+full block, so a chain's bits can change with the number of chains beside
+it. This is also the one place threads act: ModelTarget(threads=T) hands
+contiguous groups of the blocks to at most T workers, the calling thread
+and T - 1 pool workers, and each group writes its own rows, so no row's
+bits depend on T.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from .prng import RandomKey, normal, split, uniform
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# rows per BLAS product; fixed so no row's bits depend on the batch size
+# rows per BLAS product; fixed so no row's bits depend on how threads group blocks
 BLOCK_ROWS = 16
 
 # shape and rate of the Gamma prior on tau and on every lamb
@@ -362,6 +370,8 @@ class ModelTarget(Target):
         self._xs = np.ascontiguousarray(
             dataset.x * (2.0 * dataset.y - 1.0)[:, None], dtype=self.dtype
         )
+        # its transpose, row-major (D, N), for the margins product
+        self._xs_t = np.ascontiguousarray(self._xs.T)
         # log normalizer of the Gamma prior, one rounding into working dtype
         self._gamma_const = self.dtype(
             GAMMA_SHAPE * math.log(GAMMA_RATE) - gammaln(GAMMA_SHAPE)
@@ -394,19 +404,21 @@ class ModelTarget(Target):
         runs block by block, so a block's margins stay in cache.
         """
         c, d, p = len(zb), self.num_features, self.dim
-        u_tau, u_lamb, beta = zb[:, 0], zb[:, 1 : 1 + d], zb[:, 1 + d :]
+        # u = [u_tau, u_lamb], the log scales, adjacent in the state
+        u, beta = zb[:, : 1 + d], zb[:, 1 + d :]
         a, r = self.dtype(GAMMA_SHAPE), self.dtype(GAMMA_RATE)
         t = np.empty((c, p + len(self._xs)), dtype=self.dtype) if terms else None
         g = np.empty((c, d), dtype=self.dtype) if grad else None
         # overflow to inf is fine: an overflowed scale is dead by prior and
         # the caller masks the whole state
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.exp(u_tau[:, None] + u_lamb)  # tau * lamb in one exp
+            scale = np.exp(u[:, :1] + u[:, 1:])  # tau * lamb in one exp
             coefs = scale * beta
+            exp_u = np.exp(u)  # [tau, lamb], shared by the terms and the gradient
 
             def pipeline(blocks):
                 for rows in blocks:
-                    margins = coefs[rows] @ self._xs.T
+                    margins = coefs[rows] @ self._xs_t
                     if terms:
                         _bernoulli_terms(margins, out=t[rows, p:])
                     if grad:
@@ -421,13 +433,14 @@ class ModelTarget(Target):
             for job in jobs:
                 job.result()
             if terms:
-                t[:, 0] = self._gamma_const + a * u_tau - r * np.exp(u_tau)
-                t[:, 1 : 1 + d] = self._gamma_const + a * u_lamb - r * np.exp(u_lamb)
+                t[:, : 1 + d] = self._gamma_const + a * u - r * exp_u
                 t[:, 1 + d : p] = self._normal_const - self.dtype(0.5) * beta * beta
             if grad:
+                coefs_g = coefs * g
                 out = np.empty_like(zb)
-                out[:, 0] = (a - r * np.exp(u_tau)) + (coefs * g).sum(axis=1)
-                out[:, 1 : 1 + d] = (a - r * np.exp(u_lamb)) + coefs * g
+                out[:, : 1 + d] = a - r * exp_u
+                out[:, 0] += coefs_g.sum(axis=1)
+                out[:, 1 : 1 + d] += coefs_g
                 out[:, 1 + d :] = -beta + scale * g
                 g = out
         return t, g

@@ -24,7 +24,7 @@ therefore do not depend on how many chains run beside it.
 Each iteration integrates the whole batch as one array program: hmc_step
 runs _leapfrog, its evaluations and the stable-ratio terms once over all C
 chains. Runs are bitwise reproducible from (seed, config): no row's
-arithmetic depends on the other rows, and every cross-chain reduction
+arithmetic depends on the other rows' values, and every cross-chain reduction
 happens in a fixed order. Parallel work, where a target has any, lives in
 its batch evaluation (ModelTarget's threads), which keeps each row's bits.
 
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import islice
 from time import perf_counter
 
@@ -143,11 +142,6 @@ class StepOutput:
     is_accepted: np.ndarray  # (C,) bool
     log_accept_ratio: np.ndarray  # (C,)
     num_leapfrog_used: int
-
-    @cached_property
-    def harmonic_accept(self) -> float:
-        """Harmonic mean accept probability, computed once per iteration."""
-        return diag.harmonic_mean_acceptance(diag.accept_probs_from_ratios(self.log_accept_ratio))
 
 
 def leapfrog_step(target, step_size, z, m, grad, mass_diag=None, num_steps=1):
@@ -312,15 +306,15 @@ def hmc_step(
     return new_batch, out
 
 
-def adapt_step_size(step_size: float, accept_probs) -> float:
+def adapt_step_size(step_size: float, harmonic_accept: float) -> float:
     """Multiplicative step-size update driven by the harmonic mean of the
-    batch's acceptance probabilities. The harmonic mean is dominated by the
-    worst chain, so one stuck chain shrinks the shared step for everyone,
-    which is exactly what keeps a lockstep batch alive."""
+    batch's acceptance probabilities (diag.harmonic_accept). The harmonic
+    mean is dominated by the worst chain, so one stuck chain shrinks the
+    shared step for everyone, which is exactly what keeps a lockstep batch
+    alive."""
     if not (step_size > 0.0 and math.isfinite(step_size)):
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
-    hm = diag.harmonic_mean_acceptance(accept_probs)
-    return float(step_size * math.exp(LEARNING_RATE * (hm - TARGET_ACCEPT)))
+    return float(step_size * math.exp(LEARNING_RATE * (harmonic_accept - TARGET_ACCEPT)))
 
 
 def estimate_diag_mass(moments: diag.StreamingMoments) -> np.ndarray:
@@ -463,9 +457,9 @@ class _StepSizeSearch:
         self.harmonic_accepts = []
 
     def record(self, out: StepOutput):
-        self.harmonic_accepts.append(out.harmonic_accept)
-        probs = diag.accept_probs_from_ratios(out.log_accept_ratio)
-        self.config.step_size = adapt_step_size(self.config.step_size, probs)
+        hm = diag.harmonic_accept(out.log_accept_ratio)
+        self.harmonic_accepts.append(hm)
+        self.config.step_size = adapt_step_size(self.config.step_size, hm)
 
 
 class _DrawMoments:

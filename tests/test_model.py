@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from manychain.gradients import finite_difference_check
 from manychain.model import (
     ConstrainedParams,
     Dataset,
@@ -220,6 +221,41 @@ def test_fixture_unconstrained_value():
     target = fixture_target()
     got = float(target.log_prob(fixture_z()))
     assert got == pytest.approx(FIXTURE_JOINT + FIXTURE_LDJ, abs=1e-10)
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_transposed_design_copy_is_row_major_and_exact(precision):
+    target = ModelTarget(generate_synthetic(key_from_seed(41), 200, 40, 0.25), precision)
+    xs_t = target._xs_t
+    assert xs_t.flags.c_contiguous and xs_t.dtype == target.dtype
+    assert xs_t.shape == (40, 200)
+    np.testing.assert_array_equal(xs_t, target._xs.T)
+
+
+@pytest.mark.parametrize("features", [32, 40, 64])
+def test_one_state_at_many_features(features):
+    """A one-row margins product at 32 or more features rounds differently
+    against the row-major transposed copy than against a transposed view;
+    there, as everywhere, grad and log_prob are bitwise value_and_grad's, the
+    density is the joint plus its Jacobian and the gradient is the finite
+    differences'."""
+    k_data, k_states = split(key_from_seed(features), 2)
+    ds = generate_synthetic(k_data, 200, features, 0.25)
+    states = 0.8 * np.asarray(normal(k_states, [4, 1 + 2 * features]))
+    for precision in ("double", "single"):
+        target = ModelTarget(ds, precision)
+        for z in states.astype(target.dtype):
+            for zz in (z, z[None, :]):
+                value, grad = target.value_and_grad(zz)
+                assert np.asarray(target.grad(zz)).tobytes() == np.asarray(grad).tobytes()
+                assert np.asarray(target.log_prob(zz)).tobytes() == np.asarray(value).tobytes()
+    target = ModelTarget(ds)
+    params, ldj = constrain(states)
+    want = joint_log_prob(target, params) + ldj
+    got = np.array([target.log_prob(z) for z in states])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    worst = max(finite_difference_check(target, z).max_rel_error for z in states)
+    assert worst < 1e-5
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])

@@ -194,21 +194,24 @@ def test_estimate_diag_mass_floors_and_validates():
 
 def test_adapt_step_size_updates():
     # harmonic mean of {0.5, 1, 1} is 0.75, below a 0.8 target: shrink
-    new = adapt_step_size(0.2, [0.5, 1.0, 1.0])
+    hm = diag.harmonic_mean_acceptance([0.5, 1.0, 1.0])
+    new = adapt_step_size(0.2, hm)
     assert new == pytest.approx(0.2 * np.exp(0.05 * (0.75 - 0.8)), rel=1e-12)
     assert new < 0.2
 
     # at the target the update is exactly neutral
-    assert adapt_step_size(0.2, [0.8, 0.8]) == pytest.approx(0.2, rel=1e-15)
+    assert adapt_step_size(0.2, 0.8) == 0.2
 
     # one stuck chain dominates: 63 healthy chains cannot hold the step up
-    probs = np.full(64, 0.9)
-    probs[17] = 1e-6
-    assert diag.harmonic_mean_acceptance(probs) < 1e-4
-    assert adapt_step_size(0.2, probs) < 0.2 * np.exp(0.05 * (1e-4 - 0.8)) * 1.001
+    ratios = np.full(64, np.log(0.9))
+    ratios[17] = np.log(1e-6)
+    hm = diag.harmonic_accept(ratios)
+    assert hm == diag.harmonic_mean_acceptance(diag.accept_probs_from_ratios(ratios))
+    assert hm < 1e-4
+    assert adapt_step_size(0.2, hm) < 0.2 * np.exp(0.05 * (1e-4 - 0.8)) * 1.001
 
     with pytest.raises(ValueError):
-        adapt_step_size(0.0, [0.5])
+        adapt_step_size(0.0, 0.5)
 
 
 def test_divergent_proposal_rejects_and_keeps_cache():

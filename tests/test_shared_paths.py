@@ -52,10 +52,10 @@ def three_phase_loop(target, config, z_init, root_key, num_warmup):
         step_stream, jitter_stream = (split(k, steps) for k in split(key, 2))
         for t in range(steps):
             batch, out = hmc_step(target, cfg, batch, step_stream[t], jitter_stream[t])
-            harmonic.append(out.harmonic_accept)
+            hm = diag.harmonic_mean_acceptance(diag.accept_probs_from_ratios(out.log_accept_ratio))
+            harmonic.append(hm)
             if adapt_eps:
-                probs = diag.accept_probs_from_ratios(out.log_accept_ratio)
-                cfg.step_size = adapt_step_size(cfg.step_size, probs)
+                cfg.step_size = adapt_step_size(cfg.step_size, hm)
             if collect:
                 if moments is None:
                     moments = diag.welford_init(batch.z.shape)
