@@ -17,9 +17,12 @@ per evaluation: log p(y | logit) = min(m, 0) - log1p(exp(-|m|)), and the
 gradient residual y - sigmoid(logit) = sign / (1 + exp(m)).
 
 ModelTarget holds the signed design matrix xs = sign * x in two row-major
-layouts, so BLAS reads each product's operand in the layout it runs fastest
-on: the margins product coefs @ xs.T reads a (D, N) copy of the transpose,
-and the residual product res @ xs reads the (N, D) matrix itself.
+layouts, (N, D) and a (D, N) copy of its transpose, and runs a block of b
+states as an (N, b) panel, so both products read row-major operands in the
+orientation their BLAS kernels run fastest: the margins panel is
+xs @ coefs.T, from a (D, C) copy of the coefficients taken once per
+evaluation, and the residual product xs.T @ residuals writes the block's
+columns of a (D, C) gradient.
 
 The base class Target checks states (dtype cast, finiteness, shape, width)
 and writes log_prob, grad, value_and_grad and log_prob_ratio once; a target
@@ -297,7 +300,7 @@ class Target:
 
     def _prepare(self, z):
         z = np.asarray(z, dtype=self.dtype)
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise ValueError("state contains non-finite entries")
         zb, single = _as_batch(z)
         if zb.shape[1] != self.dim:
@@ -370,24 +373,20 @@ class ModelTarget(Target):
         self._xs = np.ascontiguousarray(
             dataset.x * (2.0 * dataset.y - 1.0)[:, None], dtype=self.dtype
         )
-        # its transpose, row-major (D, N), for the margins product
+        # its transpose, row-major (D, N), for the residual product
         self._xs_t = np.ascontiguousarray(self._xs.T)
+        self.num_features = dataset.num_features
+        self.dim = 1 + 2 * self.num_features
         # log normalizer of the Gamma prior, one rounding into working dtype
         self._gamma_const = self.dtype(
             GAMMA_SHAPE * math.log(GAMMA_RATE) - gammaln(GAMMA_SHAPE)
         )
         self._normal_const = self.dtype(-0.5 * _LOG_2PI)
-
-    @property
-    def dim(self) -> int:
-        return 1 + 2 * self.dataset.num_features
-
-    @property
-    def num_features(self) -> int:
-        return self.dataset.num_features
+        self._gamma_a, self._gamma_r = self.dtype(GAMMA_SHAPE), self.dtype(GAMMA_RATE)
+        self._half = self.dtype(0.5)
 
     def param_names(self) -> list[str]:
-        d = self.dataset.num_features
+        d = self.num_features
         return ["u_tau"] + [f"u_lamb_{j}" for j in range(d)] + [f"beta_{j}" for j in range(d)]
 
     def _evaluate(self, zb, terms: bool, grad: bool):
@@ -400,29 +399,34 @@ class ModelTarget(Target):
         +inf) as u walks off either end of the line. grad is the analytic
         gradient.
 
-        The (C, N) pipeline (margins, Bernoulli terms, residuals times x)
-        runs block by block, so a block's margins stay in cache.
+        The per-observation pipeline (margins, Bernoulli terms, residuals
+        times x) runs block by block, each block of b states as an (N, b)
+        panel that stays in cache: margins xs @ coefs.T, and the residual
+        product xs.T @ residuals into the block's columns of a (D, C)
+        gradient.
         """
         c, d, p = len(zb), self.num_features, self.dim
         # u = [u_tau, u_lamb], the log scales, adjacent in the state
         u, beta = zb[:, : 1 + d], zb[:, 1 + d :]
-        a, r = self.dtype(GAMMA_SHAPE), self.dtype(GAMMA_RATE)
+        a, r = self._gamma_a, self._gamma_r
         t = np.empty((c, p + len(self._xs)), dtype=self.dtype) if terms else None
-        g = np.empty((c, d), dtype=self.dtype) if grad else None
+        g_t = np.empty((d, c), dtype=self.dtype) if grad else None
+        out = None
         # overflow to inf is fine: an overflowed scale is dead by prior and
         # the caller masks the whole state
         with np.errstate(over="ignore", invalid="ignore"):
             scale = np.exp(u[:, :1] + u[:, 1:])  # tau * lamb in one exp
             coefs = scale * beta
+            coefs_t = np.ascontiguousarray(coefs.T)  # (D, C): a block is its columns
             exp_u = np.exp(u)  # [tau, lamb], shared by the terms and the gradient
 
             def pipeline(blocks):
                 for rows in blocks:
-                    margins = coefs[rows] @ self._xs_t
+                    panel = self._xs @ coefs_t[:, rows]  # (N, b) margins
                     if terms:
-                        _bernoulli_terms(margins, out=t[rows, p:])
+                        _bernoulli_terms(panel, out=t[rows, p:].T)
                     if grad:
-                        np.matmul(_sign_residuals(margins), self._xs, out=g[rows])
+                        np.matmul(self._xs_t, _sign_residuals(panel), out=g_t[:, rows])
 
             blocks = _blocks(c)
             # blocks per group; 1 for an empty batch, so the range step is positive
@@ -434,16 +438,16 @@ class ModelTarget(Target):
                 job.result()
             if terms:
                 t[:, : 1 + d] = self._gamma_const + a * u - r * exp_u
-                t[:, 1 + d : p] = self._normal_const - self.dtype(0.5) * beta * beta
+                t[:, 1 + d : p] = self._normal_const - self._half * beta * beta
             if grad:
+                g = g_t.T
                 coefs_g = coefs * g
                 out = np.empty_like(zb)
                 out[:, : 1 + d] = a - r * exp_u
                 out[:, 0] += coefs_g.sum(axis=1)
                 out[:, 1 : 1 + d] += coefs_g
                 out[:, 1 + d :] = -beta + scale * g
-                g = out
-        return t, g
+        return t, out
 
     def _prior_scale_sum(self, terms):
         return terms[:, 0] + terms[:, 1 : 1 + self.num_features].sum(axis=1)

@@ -186,11 +186,11 @@ def _leapfrog(target, eps, num_steps, z, m, grad, inv_mass):
 def _eval(evaluate, z, **kwargs):
     """evaluate(z) that tolerates non-finite states mid-trajectory: a dead
     row is evaluated at the origin instead and comes back with value -inf
-    and every other output NaN."""
-    finite = np.all(np.isfinite(z), axis=1)
-    if finite.all():
+    and every other output NaN. A finite batch costs one whole-array scan
+    here; only a batch that fails it is scanned row by row."""
+    if np.isfinite(z).all():
         return evaluate(z, **kwargs)
-    dead = ~finite
+    dead = ~np.isfinite(z).all(axis=1)
     out = evaluate(np.where(dead[:, None], z.dtype.type(0.0), z), **kwargs)
 
     def mask(a):

@@ -234,9 +234,9 @@ def test_transposed_design_copy_is_row_major_and_exact(precision):
 
 @pytest.mark.parametrize("features", [32, 40, 64])
 def test_one_state_at_many_features(features):
-    """A one-row margins product at 32 or more features rounds differently
-    against the row-major transposed copy than against a transposed view;
-    there, as everywhere, grad and log_prob are bitwise value_and_grad's, the
+    """One state at a time at 32 or more features, where a one-row product
+    rounds differently from one operand layout to another; there, as
+    everywhere, grad and log_prob are bitwise value_and_grad's, the
     density is the joint plus its Jacobian and the gradient is the finite
     differences'."""
     k_data, k_states = split(key_from_seed(features), 2)

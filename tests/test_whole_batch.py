@@ -6,7 +6,8 @@ a batch is then bitwise that row of its block evaluated alone, however
 ModelTarget(threads=T) groups the blocks over its workers, so thread counts
 and cache recomputations agree bit for bit. A row's bits are not
 independent of C: a state in a short last block may round differently from
-the same state in a full block."""
+the same state in a full block. The (N, b) panel pipeline is held to the
+row-major one it replaced, bit for bit where the two round alike."""
 
 import functools
 import warnings
@@ -16,7 +17,7 @@ import pytest
 
 from manychain import model
 from manychain.cli import main
-from manychain.model import ModelTarget, generate_synthetic
+from manychain.model import ModelTarget, _bernoulli_terms, _sign_residuals, generate_synthetic
 from manychain.prng import key_from_seed, normal, split
 from manychain.sampler import HmcConfig, run_chains
 
@@ -42,6 +43,77 @@ def blockwise(evaluate, z):
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(col) for col in zip(*parts))
     return np.concatenate(parts)
+
+
+class RowMajorTarget(ModelTarget):
+    """The per-observation pipeline the (N, b) panels replaced, kept as the
+    reference they are held to: each block's (b, N) margins coefs[rows] @
+    xs.T, its Bernoulli terms written row by row, and its residual product
+    residuals @ xs into the block's rows of a (C, D) gradient. One thread."""
+
+    def _evaluate(self, zb, terms, grad):
+        c, d, p = len(zb), self.num_features, self.dim
+        u, beta = zb[:, : 1 + d], zb[:, 1 + d :]
+        a, r = self.dtype(model.GAMMA_SHAPE), self.dtype(model.GAMMA_RATE)
+        t = np.empty((c, p + len(self._xs)), dtype=self.dtype) if terms else None
+        g = np.empty((c, d), dtype=self.dtype) if grad else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.exp(u[:, :1] + u[:, 1:])
+            coefs = scale * beta
+            exp_u = np.exp(u)
+            for rows in model._blocks(c):
+                margins = coefs[rows] @ self._xs_t
+                if terms:
+                    _bernoulli_terms(margins, out=t[rows, p:])
+                if grad:
+                    np.matmul(_sign_residuals(margins), self._xs, out=g[rows])
+            if terms:
+                t[:, : 1 + d] = self._gamma_const + a * u - r * exp_u
+                t[:, 1 + d : p] = self._normal_const - self.dtype(0.5) * beta * beta
+            if grad:
+                coefs_g = coefs * g
+                out = np.empty_like(zb)
+                out[:, : 1 + d] = a - r * exp_u
+                out[:, 0] += coefs_g.sum(axis=1)
+                out[:, 1 : 1 + d] += coefs_g
+                out[:, 1 + d :] = -beta + scale * g
+                g = out
+        return t, g
+
+
+# a product edge (block rows, or features in the residual product) of this
+# size mod 8 keeps the row-major pipeline's bits with OpenBLAS's Haswell
+# gemm kernels; an edge of 1 to 4 mod 8 may round differently
+EXACT_EDGES = (0, 5, 6, 7)
+
+
+@pytest.mark.parametrize("rows", [200, 1000])
+@pytest.mark.parametrize("features", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 24, 29, 32, 40])
+def test_panels_match_the_row_major_pipeline(rows, features):
+    """In float64, at every C from 1 to 32: log_prob and the terms are
+    bitwise the row-major pipeline's wherever every block has 0, 5, 6 or 7
+    rows mod 8 (every C = 0 or 5 to 15 mod 16), and so is the gradient
+    where the feature count is also 0, 5, 6 or 7 mod 8 (D = 24, the
+    benchmark's and criterion 1's, included). Elsewhere they agree to
+    atol 1e-10."""
+    k_data, k_states = split(key_from_seed(features), 2)
+    ds = generate_synthetic(k_data, rows, features, 0.25)
+    panels, row_major = ModelTarget(ds), RowMajorTarget(ds)
+    z_all = 0.3 * np.asarray(normal(k_states, [32, panels.dim]))
+    for chains in range(1, 33):
+        z = z_all[:chains]
+        want = row_major.value_and_grad(z, terms=True)
+        got = panels.value_and_grad(z, terms=True)
+        got_grad = panels.grad(z)
+        exact = (chains % model.BLOCK_ROWS) % 8 in EXACT_EDGES
+        exact_grad = exact and features % 8 in EXACT_EDGES
+        for w, g, bitwise in zip(want, got, (exact, exact_grad, exact)):
+            if bitwise:
+                assert same_bits(w, g), chains
+            else:
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
+        assert same_bits(got_grad, got[1])
+        assert same_bits(panels.log_prob(z), got[0])
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
