@@ -491,8 +491,9 @@ def cmd_precision_demo(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-THREADS_HELP = ("workers for the regression likelihood's 16-row blocks (a Gaussian "
-                "model runs on one thread); outputs are byte-identical at any count")
+THREADS_HELP = ("workers for the regression likelihood's row blocks (16 rows in double "
+                "precision, 32 in single; a Gaussian model runs on one thread); outputs "
+                "are byte-identical at any count")
 
 
 def build_parser() -> argparse.ArgumentParser:

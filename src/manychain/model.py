@@ -44,15 +44,19 @@ grad(z) is the gradient alone, bitwise equal to value_and_grad(z)[1]: the
 gradient code exists once and both call it.
 
 A (C, P) batch evaluates as a whole except for the per-observation (C, N)
-pipeline, which runs BLOCK_ROWS rows at a time from row 0, so every row of
-a batch is bitwise that row of its block evaluated alone. The blocks do not
-make a row independent of C: a product with fewer rows (the last block,
-when C is not a multiple of BLOCK_ROWS) may round a row differently from a
-full block, so a chain's bits can change with the number of chains beside
-it. This is also the one place threads act: ModelTarget(threads=T) hands
-contiguous groups of the blocks to at most T workers, the calling thread
-and T - 1 pool workers, and each group writes its own rows, so no row's
-bits depend on T.
+pipeline, which runs block_rows rows at a time from row 0, so every row of
+a batch is bitwise that row of its block evaluated alone. A block is sized
+in bytes, BLOCK_BYTES of each observation's panel row: 16 rows in float64
+and 32 in float32. The blocks do not make a row independent of C: a
+product with fewer rows (the last block, when C is not a multiple of
+block_rows) may round a row differently from a full block, so a chain's
+bits can change with the number of chains beside it. This is also the one
+place threads act: ModelTarget(threads=T) hands contiguous groups of the
+blocks to at most T workers, the calling thread and T - 1 pool workers,
+and each group writes its own rows, so no row's bits depend on T. Each
+thread writes its blocks' margins, residuals and terms into two (N,
+block_rows) scratch panels of its own, allocated on its first evaluation,
+so a warm evaluation allocates only its outputs and its (C, .) arrays.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -70,8 +75,9 @@ from .prng import RandomKey, normal, split, uniform
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# rows per BLAS product; fixed so no row's bits depend on how threads group blocks
-BLOCK_ROWS = 16
+# bytes of each observation's panel row per block: 16 float64 rows, 32
+# float32; fixed per dtype so no row's bits depend on how threads group blocks
+BLOCK_BYTES = 128
 
 # shape and rate of the Gamma prior on tau and on every lamb
 GAMMA_SHAPE = 0.5
@@ -255,14 +261,25 @@ def _as_batch(z) -> tuple[np.ndarray, bool]:
     raise ValueError(f"state must be 1- or 2-dimensional, got shape {z.shape}")
 
 
-def _bernoulli_terms(margins, out=None):
-    """log p(y | logit) at margins m = sign * logit: <= 0, NaN only for NaN m."""
-    return np.subtract(np.minimum(margins, 0), np.log1p(np.exp(-np.abs(margins))), out=out)
+def _bernoulli_terms(margins, out=None, scratch=None):
+    """log p(y | logit) at margins m = sign * logit: <= 0, NaN only for NaN m.
+
+    Given scratch, an array of margins' shape, nothing is allocated:
+    scratch ends up holding log1p(exp(-|m|)) and margins min(m, 0).
+    """
+    soft = np.abs(margins, out=scratch)
+    np.negative(soft, out=soft)
+    np.exp(soft, out=soft)
+    np.log1p(soft, out=soft)
+    hard = np.minimum(margins, 0, out=None if scratch is None else margins)
+    return np.subtract(hard, soft, out=out)
 
 
-def _blocks(num_rows: int):
-    """Row slices of BLOCK_ROWS rows from row 0; the last may be shorter."""
-    return [slice(lo, lo + BLOCK_ROWS) for lo in range(0, num_rows, BLOCK_ROWS)]
+@functools.cache
+def _blocks(num_rows: int, block_rows: int) -> tuple[slice, ...]:
+    """Row slices of block_rows rows from row 0; the last may be shorter."""
+    return tuple(slice(lo, min(lo + block_rows, num_rows))
+                 for lo in range(0, num_rows, block_rows))
 
 
 @functools.cache
@@ -275,9 +292,12 @@ def _pool(threads: int) -> ThreadPoolExecutor:
     )
 
 
-def _sign_residuals(margins):
-    """sign * (y - sigmoid(logit)), exactly 0 where exp(m) overflows."""
-    return 1 / (1 + np.exp(margins))
+def _sign_residuals(margins, out=None):
+    """sign * (y - sigmoid(logit)), exactly 0 where exp(m) overflows;
+    computed in out when given."""
+    res = np.exp(margins, out=out)
+    res += 1
+    return np.divide(1, res, out=res)
 
 
 class Target:
@@ -360,7 +380,9 @@ class ModelTarget(Target):
 
     Data are stored at the precision's width. threads spreads the
     per-observation pipeline's row blocks over that many workers; the
-    results do not depend on it.
+    results do not depend on it. Every thread that evaluates keeps its own
+    scratch panels, so one target may be evaluated from several threads
+    at once.
     """
 
     def __init__(self, dataset: Dataset, precision: str = "double", threads: int = 1):
@@ -384,6 +406,21 @@ class ModelTarget(Target):
         self._normal_const = self.dtype(-0.5 * _LOG_2PI)
         self._gamma_a, self._gamma_r = self.dtype(GAMMA_SHAPE), self.dtype(GAMMA_RATE)
         self._half = self.dtype(0.5)
+        self.block_rows = BLOCK_BYTES // self._xs.itemsize
+        self._scratch = threading.local()
+
+    def _panels(self):
+        """This thread's (N, b) views of its two scratch panels, indexed by
+        block width b; the panels are allocated on the thread's first call."""
+        try:
+            return self._scratch.panels
+        except AttributeError:
+            n, rows = len(self._xs), self.block_rows
+            bufs = np.empty((2, n * rows), dtype=self.dtype)
+            panels = [None] + [tuple(buf[: n * b].reshape(n, b) for buf in bufs)
+                               for b in range(1, rows + 1)]
+            self._scratch.panels = panels
+            return panels
 
     def param_names(self) -> list[str]:
         d = self.num_features
@@ -403,7 +440,9 @@ class ModelTarget(Target):
         times x) runs block by block, each block of b states as an (N, b)
         panel that stays in cache: margins xs @ coefs.T, and the residual
         product xs.T @ residuals into the block's columns of a (D, C)
-        gradient.
+        gradient. The margins and the residuals or Bernoulli terms are
+        written into the evaluating thread's two scratch panels, never
+        into fresh arrays.
         """
         c, d, p = len(zb), self.num_features, self.dim
         # u = [u_tau, u_lamb], the log scales, adjacent in the state
@@ -421,14 +460,17 @@ class ModelTarget(Target):
             exp_u = np.exp(u)  # [tau, lamb], shared by the terms and the gradient
 
             def pipeline(blocks):
+                panels = self._panels()
                 for rows in blocks:
-                    panel = self._xs @ coefs_t[:, rows]  # (N, b) margins
-                    if terms:
-                        _bernoulli_terms(panel, out=t[rows, p:].T)
+                    margins, work = panels[rows.stop - rows.start]
+                    np.matmul(self._xs, coefs_t[:, rows], out=margins)
                     if grad:
-                        np.matmul(self._xs_t, _sign_residuals(panel), out=g_t[:, rows])
+                        np.matmul(self._xs_t, _sign_residuals(margins, out=work),
+                                  out=g_t[:, rows])
+                    if terms:  # last: it overwrites the margins
+                        _bernoulli_terms(margins, out=t[rows, p:].T, scratch=work)
 
-            blocks = _blocks(c)
+            blocks = _blocks(c, self.block_rows)
             # blocks per group; 1 for an empty batch, so the range step is positive
             share = -(-len(blocks) // self.threads) or 1
             jobs = [_pool(self.threads).submit(pipeline, blocks[lo : lo + share])
@@ -441,12 +483,14 @@ class ModelTarget(Target):
                 t[:, 1 + d : p] = self._normal_const - self._half * beta * beta
             if grad:
                 g = g_t.T
-                coefs_g = coefs * g
+                coefs_g = np.multiply(coefs, g, out=coefs)
                 out = np.empty_like(zb)
-                out[:, : 1 + d] = a - r * exp_u
+                head, tail = out[:, : 1 + d], out[:, 1 + d :]
+                np.subtract(a, np.multiply(r, exp_u, out=head), out=head)
                 out[:, 0] += coefs_g.sum(axis=1)
                 out[:, 1 : 1 + d] += coefs_g
-                out[:, 1 + d :] = -beta + scale * g
+                np.multiply(scale, g, out=tail)
+                tail -= beta
         return t, out
 
     def _prior_scale_sum(self, terms):

@@ -290,11 +290,16 @@ def hmc_step(
 
     accepted = log_u < log_accept_ratio
     keep = accepted[:, None]
+    if config.stable_ratio:
+        # terms1 is this step's own array: rejected rows take terms0 in place
+        rejected = np.flatnonzero(~accepted)
+        terms1[rejected] = terms0[rejected]
     new_batch = ChainBatch(
+        # z1 is kept as the proposal, so the kept states go to a new array
         z=np.where(keep, z1, batch.z),
         value=np.where(accepted, value1, batch.value),
         grad=np.where(keep, grad1, batch.grad),
-        terms=np.where(keep, terms1, terms0) if config.stable_ratio else None,
+        terms=terms1 if config.stable_ratio else None,
     )
     out = StepOutput(
         z=new_batch.z,

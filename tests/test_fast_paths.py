@@ -158,7 +158,7 @@ def test_stable_ratio_cache_matches_log_prob_ratio(monkeypatch):
     difference plus log_prob_ratio(z1, z_old), over iterations with
     accepts, rejections and cached terms carried between them."""
     target, key = small_model(36, "single", rows=120)
-    chains = 20  # two 16-row BLAS blocks: 16 + 4
+    chains = 40  # two 32-row float32 BLAS blocks: 32 + 8
     k_init, k_run = split(key, 2)
     z_init = 0.4 * np.asarray(normal(k_init, [chains, target.dim]))
     batch = ChainBatch.init(target, z_init)

@@ -1,7 +1,8 @@
 """Whole-batch evaluation and the likelihood's worker threads.
 
 The target evaluates a (C, P) batch as a whole except for its BLAS
-products, which run model.BLOCK_ROWS rows at a time from row 0. Every row of
+products, which run target.block_rows rows at a time from row 0 (16 in
+float64, 32 in float32: model.BLOCK_BYTES per observation). Every row of
 a batch is then bitwise that row of its block evaluated alone, however
 ModelTarget(threads=T) groups the blocks over its workers, so thread counts
 and cache recomputations agree bit for bit. A row's bits are not
@@ -10,7 +11,11 @@ the same state in a full block. The (N, b) panel pipeline is held to the
 row-major one it replaced, bit for bit where the two round alike."""
 
 import functools
+import sys
+import threading
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +26,7 @@ from manychain.model import ModelTarget, _bernoulli_terms, _sign_residuals, gene
 from manychain.prng import key_from_seed, normal, split
 from manychain.sampler import HmcConfig, run_chains
 
-CHAIN_COUNTS = [1, 15, 16, 17, 33, 48, 64, 256]
+CHAIN_COUNTS = [1, 15, 16, 17, 32, 33, 48, 64, 256]
 
 
 @functools.cache
@@ -36,10 +41,9 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def blockwise(evaluate, z):
-    """evaluate on each BLOCK_ROWS-row block of z alone, outputs stacked."""
-    parts = [evaluate(z[lo : lo + model.BLOCK_ROWS])
-             for lo in range(0, len(z), model.BLOCK_ROWS)]
+def blockwise(evaluate, z, block_rows):
+    """evaluate on each block_rows-row block of z alone, outputs stacked."""
+    parts = [evaluate(z[lo : lo + block_rows]) for lo in range(0, len(z), block_rows)]
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(col) for col in zip(*parts))
     return np.concatenate(parts)
@@ -61,7 +65,7 @@ class RowMajorTarget(ModelTarget):
             scale = np.exp(u[:, :1] + u[:, 1:])
             coefs = scale * beta
             exp_u = np.exp(u)
-            for rows in model._blocks(c):
+            for rows in model._blocks(c, self.block_rows):
                 margins = coefs[rows] @ self._xs_t
                 if terms:
                     _bernoulli_terms(margins, out=t[rows, p:])
@@ -105,7 +109,7 @@ def test_panels_match_the_row_major_pipeline(rows, features):
         want = row_major.value_and_grad(z, terms=True)
         got = panels.value_and_grad(z, terms=True)
         got_grad = panels.grad(z)
-        exact = (chains % model.BLOCK_ROWS) % 8 in EXACT_EDGES
+        exact = (chains % panels.block_rows) % 8 in EXACT_EDGES
         exact_grad = exact and features % 8 in EXACT_EDGES
         for w, g, bitwise in zip(want, got, (exact, exact_grad, exact)):
             if bitwise:
@@ -121,25 +125,27 @@ def test_panels_match_the_row_major_pipeline(rows, features):
 def test_batch_is_bitwise_its_blocks(precision, chains):
     target = regression_target(precision)
     z = 0.3 * np.asarray(normal(key_from_seed(chains), [chains, target.dim]))
+    rows = target.block_rows
     whole = target.value_and_grad(z, terms=True)
-    blocks = blockwise(lambda zb: target.value_and_grad(zb, terms=True), z)
+    blocks = blockwise(lambda zb: target.value_and_grad(zb, terms=True), z, rows)
     for w, b in zip(whole, blocks):
         assert same_bits(w, b)
-    assert same_bits(target.grad(z), blockwise(target.grad, z))
-    assert same_bits(target.log_prob(z), blockwise(target.log_prob, z))
+    assert same_bits(target.grad(z), blockwise(target.grad, z, rows))
+    assert same_bits(target.log_prob(z), blockwise(target.log_prob, z, rows))
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
 def test_rows_are_their_blocks_at_every_chain_count(precision):
     """At every C from 1 to 40, each row of a batch's value_and_grad and
-    grad is bitwise that row computed from its 16-row block alone, at one
-    thread and at two."""
+    grad is bitwise that row computed from its block_rows-row block alone,
+    at one thread and at two."""
     one, two = regression_target(precision), regression_target(precision, 2)
+    rows = one.block_rows
     z_all = 0.3 * np.asarray(normal(key_from_seed(40), [40, one.dim]))
     for chains in range(1, 41):
         z = z_all[:chains]
-        want = blockwise(lambda zb: one.value_and_grad(zb, terms=True), z)
-        want_grad = blockwise(one.grad, z)
+        want = blockwise(lambda zb: one.value_and_grad(zb, terms=True), z, rows)
+        want_grad = blockwise(one.grad, z, rows)
         for target in (one, two):
             for w, g in zip(want, target.value_and_grad(z, terms=True)):
                 assert same_bits(w, g), (chains, target.threads)
@@ -155,6 +161,65 @@ def test_threads_give_the_one_thread_bits(precision, threads, chains):
     for w, t in zip(one.value_and_grad(z, terms=True), many.value_and_grad(z, terms=True)):
         assert same_bits(w, t)
     assert same_bits(one.grad(z), many.grad(z))
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_concurrent_callers_get_the_one_thread_bits(precision, threads):
+    """Callers evaluating one target at once, more of them than this
+    machine has cores, each get bitwise what one caller alone gets: every
+    evaluating thread writes its own scratch."""
+    one, shared = regression_target(precision), regression_target(precision, threads)
+    zs = [0.3 * np.asarray(normal(key, [64, one.dim])) for key in split(key_from_seed(41), 4)]
+    start = threading.Barrier(len(zs))
+
+    def evaluate(target, z):
+        return target.grad(z), *target.value_and_grad(z, terms=True)
+
+    def hammer(z):
+        start.wait(timeout=60)
+        return [evaluate(shared, z) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(zs)) as callers:
+            got = list(callers.map(hammer, zs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for z, runs in zip(zs, got):
+        want = evaluate(one, z)
+        for outs in runs:
+            for w, g in zip(want, outs):
+                assert same_bits(w, g)
+
+
+@functools.cache
+def wide_target(precision, threads):
+    """4000 rows: one float64 (N, block_rows) panel is 500 KiB."""
+    ds = generate_synthetic(split(key_from_seed(6), 2)[0], 4000, 24, 0.25)
+    return ModelTarget(ds, precision=precision, threads=threads)
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_warm_evaluations_allocate_no_panels(precision, threads):
+    """A warm evaluation allocates its outputs and (C, .) arrays, never a
+    per-block (N, b) temporary: its traced peak stays below one (N,
+    block_rows) panel above the outputs it returns."""
+    target = wide_target(precision, threads)
+    panel = len(target._xs) * target.block_rows * target._xs.itemsize
+    z = 0.3 * np.asarray(normal(key_from_seed(7), [64, target.dim]))
+    for evaluate in (target.grad, functools.partial(target.value_and_grad, terms=True)):
+        evaluate(z)  # every evaluating thread allocates its scratch once
+        tracemalloc.start()
+        try:
+            outs = evaluate(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in (outs if isinstance(outs, tuple) else (outs,)))
+        assert peak < outputs + panel, (peak, outputs, panel)
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
