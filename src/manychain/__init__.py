@@ -8,7 +8,6 @@ from .diagnostics import (
     ess,
     harmonic_mean_acceptance,
     report_from_trace,
-    roundoff_suspicion,
     split_rhat,
     streaming_rhat,
     welford_init,

@@ -132,46 +132,6 @@ def write_trace_csv(path, param_names, z_trace, is_accepted, log_accept_ratios):
             )
 
 
-def read_trace_csv(path):
-    """Returns (param_names, z (T, C, P), is_accepted (T, C), ratios (T, C)).
-    A malformed row raises ValueError naming the file and its line."""
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header[:2] != ["chain", "draw"] or header[-2:] != ["is_accepted", "log_accept_ratio"]:
-            raise ValueError(f"{path}: not a trace CSV")
-        names = header[2:-2]
-        # (line number, fields) of every non-blank row
-        rows = [(n, line.rstrip("\n").split(",")) for n, line in enumerate(fh, 2) if line.strip()]
-    if not rows:
-        raise ValueError(f"{path}: trace CSV has no rows")
-    p = len(names)
-    for n, r in rows:
-        # chain and draw indices, P parameters, a 0 or 1 accept flag, a ratio
-        if len(r) != p + 4 or not (r[0].isdigit() and r[1].isdigit() and r[-2] in ("0", "1")):
-            raise ValueError(f"{path}: line {n} is not a row of {p} parameters: {','.join(r)}")
-    c = max(int(r[0]) for _, r in rows) + 1
-    t = max(int(r[1]) for _, r in rows) + 1
-    z = np.empty((t, c, p))
-    acc = np.empty((t, c), dtype=bool)
-    ratios = np.empty((t, c))
-    seen = np.zeros((t, c), dtype=bool)
-    for n, r in rows:
-        ci, ti = int(r[0]), int(r[1])
-        if seen[ti, ci]:
-            raise ValueError(f"{path}: line {n} repeats chain {ci}, draw {ti}")
-        seen[ti, ci] = True
-        try:
-            z[ti, ci] = [float(v) for v in r[2 : 2 + p]]
-            ratios[ti, ci] = float(r[3 + p])
-        except ValueError as e:
-            raise ValueError(f"{path}: line {n}: {e}") from None
-        acc[ti, ci] = r[2 + p] == "1"
-    if not seen.all():
-        ti, ci = np.argwhere(~seen)[0]
-        raise ValueError(f"{path}: no row for chain {ci}, draw {ti}")
-    return names, z, acc, ratios
-
-
 def write_diagnostics_json(path, report: diag.DiagnosticsReport):
     with open(path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
@@ -183,24 +143,6 @@ def write_bench_csv(path, rows):
         fh.write("chains,wall_seconds,draws_per_second\n")
         for r in rows:
             fh.write(f"{r['chains']},{_fmt(r['wall_seconds'])},{_fmt(r['draws_per_second'])}\n")
-
-
-def read_bench_csv(path):
-    out = []
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "chains,wall_seconds,draws_per_second":
-            raise ValueError(f"{path}: not a bench CSV")
-        for n, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
-            try:
-                c, w, d = line.rstrip("\n").split(",")
-                row = {"chains": int(c), "wall_seconds": float(w), "draws_per_second": float(d)}
-            except ValueError:
-                raise ValueError(f"{path}: line {n} is not a bench row: {line.rstrip()}") from None
-            out.append(row)
-    return out
 
 
 # ---------------------------------------------------------------- sample
@@ -223,7 +165,6 @@ def cmd_sample(args) -> int:
     config = HmcConfig(
         step_size=args.step_size,
         num_leapfrog_steps=args.leapfrog_steps,
-        jitter=args.jitter,
         stable_ratio=args.stable_ratio,
     )
     z0 = initial_states(init_key, args.chains, target.dim)
@@ -257,7 +198,7 @@ def cmd_sample(args) -> int:
         written.append(csv_path)
 
     print(f"model={args.model}  chains={args.chains}  draws={args.draws}  "
-          f"precision={args.precision}  jitter={'on' if args.jitter else 'off'}")
+          f"precision={args.precision}")
     print(warm_note)
     print(f"accept: mean={summary.accept_rate:.3f}  "
           f"harmonic={report.mean_accept_harmonic:.3f}")
@@ -468,8 +409,8 @@ def cmd_precision_demo(args) -> int:
         "base_rows": int(base.num_rows),
         "total_rows": int(dataset.num_rows),
         "log_density_magnitude": float(magnitude),
-        "naive_flag_fraction": diag.roundoff_suspicion(naive),
-        "stable_flag_fraction": diag.roundoff_suspicion(stable),
+        "naive_flag_fraction": diag.roundoff_grid_hits(naive) / naive.size,
+        "stable_flag_fraction": diag.roundoff_grid_hits(stable) / stable.size,
         "max_abs_err_naive": float(np.abs(naive[finite] - oracle[finite]).max()),
         "max_abs_err_stable": float(np.abs(stable[finite] - oracle[finite]).max()),
         "steps": int(args.steps),
@@ -510,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--warmup", type=int, default=500)
     ps.add_argument("--step-size", type=float, default=0.2)
     ps.add_argument("--leapfrog-steps", type=int, default=8)
-    ps.add_argument("--jitter", action=argparse.BooleanOptionalAction, default=True)
     ps.add_argument("--adapt", action=argparse.BooleanOptionalAction, default=True)
     ps.add_argument("--precision", choices=["single", "double"], default="double")
     ps.add_argument("--stable-ratio", action=argparse.BooleanOptionalAction, default=False)

@@ -183,21 +183,12 @@ def ess(trace) -> float:
     return float(c * t / tau)
 
 
-def roundoff_suspicion(log_accept_ratios) -> float:
-    """Fraction of finite, moderate log accept ratios sitting exactly on the
+def roundoff_grid_hits(log_accept_ratios) -> int:
+    """Number of finite, moderate log accept ratios sitting exactly on the
     quarter-integer grid, the residue large cancelled float totals leave
     behind. Healthy double-precision ratios land there with probability about
-    zero; a large fraction means the accept statistics are quantization
+    zero; a large share of hits means the accept statistics are quantization
     artifacts."""
-    r = np.asarray(log_accept_ratios, dtype=np.float64).ravel()
-    if r.size == 0:
-        raise ValueError("no log accept ratios given")
-    return float(roundoff_grid_hits(r) / r.size)
-
-
-def roundoff_grid_hits(log_accept_ratios) -> int:
-    """Number of finite, moderate log accept ratios on the quarter-integer
-    grid: the count roundoff_suspicion divides by the number of ratios."""
     r = np.asarray(log_accept_ratios, dtype=np.float64).ravel()
     moderate = np.isfinite(r) & (np.abs(r) < ROUNDOFF_ABS_LIMIT)
     q = 4.0 * r[moderate]

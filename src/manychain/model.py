@@ -12,9 +12,11 @@ u_tau + sum(u_lamb) folded into the unconstrained density.
 
 All density code is batched: a state is either a (P,) vector or a (C, P)
 matrix of C chain states, and results come back scalar or (C,) to match.
-Bernoulli terms take the margin m = sign * logit (sign = 2y - 1), one matmul
-per evaluation: log p(y | logit) = min(m, 0) - log1p(exp(-|m|)), and the
-gradient residual y - sigmoid(logit) = sign / (1 + exp(m)).
+Bernoulli terms take the margin m = sign * logit (sign = 2y - 1), one
+product per block of states, and a gradient takes a second, the residuals
+back through the design matrix: log p(y | logit) = min(m, 0) -
+log1p(exp(-|m|)), and the gradient residual y - sigmoid(logit) =
+sign / (1 + exp(m)).
 
 ModelTarget holds the signed design matrix xs = sign * x in two row-major
 layouts, (N, D) and a (D, N) copy of its transpose, and runs a block of b

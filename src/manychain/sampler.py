@@ -122,14 +122,6 @@ class ChainBatch:
     def num_chains(self) -> int:
         return self.z.shape[0]
 
-    def check_cache(self, target):
-        """Debug helper: recompute value/grad (and terms, when cached) and
-        compare them exactly with the cache."""
-        fresh = target.value_and_grad(self.z, terms=True)
-        cached = (self.value, self.grad, self.terms)
-        if not all(np.array_equal(f, c) for f, c in zip(fresh, cached) if c is not None):
-            raise AssertionError("cached value/grad/terms out of sync with states")
-
 
 @dataclass
 class StepOutput:
@@ -263,8 +255,9 @@ def hmc_step(
         target, dtype(config.step_size), num_steps, batch.z, m0, batch.grad, inv_mass
     )
 
-    # rows that went non-finite carry NaN terms; the proposal check below
-    # turns their ratio into a rejection
+    # _eval gives a non-finite endpoint state value -inf and NaN gradient
+    # and terms, and a non-finite value at a finite state has a non-finite
+    # term, so either path's ratio for such a row is not finite: it rejects
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         if config.stable_ratio:
             terms0 = batch.terms
@@ -281,12 +274,7 @@ def hmc_step(
             energy1 = kin1 - value1
             log_accept_ratio = energy0 - energy1
 
-    # non-finite anywhere in the proposal forces rejection, never NaN out
-    proposal_ok = np.all(np.isfinite(z1), axis=1) & np.isfinite(value1)
-    log_accept_ratio = np.asarray(log_accept_ratio, dtype=dtype)
-    log_accept_ratio = np.where(
-        proposal_ok & np.isfinite(log_accept_ratio), log_accept_ratio, dtype(-np.inf)
-    )
+    log_accept_ratio = np.where(np.isfinite(log_accept_ratio), log_accept_ratio, dtype(-np.inf))
 
     accepted = log_u < log_accept_ratio
     keep = accepted[:, None]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import manychain.diagnostics as diag
-from manychain.cli import main, read_bench_csv, read_trace_csv
+from manychain.cli import main
 from manychain.gradients import finite_difference_check
 from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
 from manychain.prng import key_from_seed, normal, split
@@ -28,6 +28,7 @@ from manychain.sampler import (
     leapfrog_step,
     run_chains,
 )
+from testkit import read_bench_csv, read_trace_csv
 
 
 def verdict(num, ok, detail):

@@ -1,0 +1,63 @@
+"""The package keeps only what runs: every public function, class and method
+defined in src/manychain is referenced elsewhere in src/, exported by
+manychain/__init__.py, or named in perfbench/. Helpers only tests use live
+in tests/testkit.py instead.
+
+A reference is any name, attribute or imported name in the source, so a
+method counts as used when any attribute of its name is read: the check
+finds code that nothing names, and misses a method whose name another
+object's attribute shares."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "manychain"
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _names(tree, strings=False):
+    """Every identifier the module reads: names, attributes, imported names
+    and, with strings, the dotted words of string constants."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.replace(".", " ").split())
+    return out
+
+
+def _public_definitions(tree):
+    """(qualified name, name) of each public module-level function or class
+    and each public method of a module-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_definition_has_a_caller_an_export_or_a_benchmark_use():
+    modules = {p: _tree(p) for p in sorted(PACKAGE.glob("*.py"))}
+    exported = _names(modules[PACKAGE / "__init__.py"])
+    used = set().union(*(_names(t) for p, t in modules.items() if p.name != "__init__.py"))
+    bench = set().union(*(_names(_tree(p), strings=True)
+                          for p in sorted((ROOT / "perfbench").glob("*.py"))))
+    unused = [
+        f"{path.name}:{qualname}"
+        for path, tree in modules.items()
+        for qualname, name in _public_definitions(tree)
+        if name not in used | exported | bench
+    ]
+    assert not unused, f"public definitions nothing runs: {unused}"

@@ -1,7 +1,7 @@
 """End-to-end CLI behavior through in-process main() calls.
 
 Everything here goes through the same argv surface a shell user sees; the
-emitted files are read back with the package's own readers, and
+emitted files are read back with the readers in testkit, and
 diagnostics.json with json."""
 
 import json
@@ -19,13 +19,12 @@ from manychain.cli import (
     build_target,
     initial_states,
     main,
-    read_bench_csv,
-    read_trace_csv,
     write_bench_csv,
     write_trace_csv,
 )
 from manychain.model import GaussianTarget, ModelTarget
 from manychain.prng import key_from_seed
+from testkit import read_bench_csv, read_trace_csv
 
 DATA_DIR = Path(__file__).parent / "data"
 SMALL_CSV = str(DATA_DIR / "small.csv")

@@ -21,7 +21,7 @@ from manychain.diagnostics import (
     harmonic_mean_acceptance,
     merge_chain_axis,
     report_from_trace,
-    roundoff_suspicion,
+    roundoff_grid_hits,
     split_rhat,
     streaming_rhat,
     variance,
@@ -305,20 +305,17 @@ def test_report_from_trace_peak_memory_stays_small():
     assert peak < 8 * 2**20
 
 
-def test_roundoff_suspicion_counts_grid_points():
+def test_roundoff_grid_hits_counts_grid_points():
     r = np.array([-0.25, -0.3137861, 0.5, -1.0])
-    assert roundoff_suspicion(r) == 0.75
-    # infinities and huge ratios are excluded from the numerator but
-    # still count toward the denominator
-    assert roundoff_suspicion([np.inf, 0.25]) == 0.5
-    assert roundoff_suspicion([2e6, 0.1]) == 0.0
-    with pytest.raises(ValueError):
-        roundoff_suspicion([])
+    assert roundoff_grid_hits(r) == 3
+    # infinities and huge ratios are never counted as hits
+    assert roundoff_grid_hits([np.inf, 0.25]) == 1
+    assert roundoff_grid_hits([2e6, 0.1]) == 0
 
 
-def test_roundoff_suspicion_quiet_on_healthy_ratios():
+def test_roundoff_grid_hits_quiet_on_healthy_ratios():
     rng = np.random.default_rng(19)
-    assert roundoff_suspicion(rng.normal(size=10_000)) < 0.01
+    assert roundoff_grid_hits(rng.normal(size=10_000)) < 100  # under 1%
 
 
 def test_harmonic_mean_acceptance():

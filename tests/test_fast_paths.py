@@ -21,6 +21,7 @@ from manychain.model import (
 )
 from manychain.prng import key_from_seed, normal, split
 from manychain.sampler import ChainBatch, HmcConfig, hmc_step
+from testkit import check_cache
 
 
 def small_model(seed, precision="double", rows=80, features=4):
@@ -188,7 +189,7 @@ def test_stable_ratio_cache_matches_log_prob_ratio(monkeypatch):
         expected = np.where(ok & np.isfinite(r), r, np.float32(-np.inf))
         assert same_bits(out.log_accept_ratio, expected)
         assert batch.terms is not None and batch.terms.shape[0] == chains
-        batch.check_cache(target)
+        check_cache(batch, target)
         accepted += int(out.is_accepted.sum())
         rejected += int((~out.is_accepted).sum())
     assert accepted > 0 and rejected > 0
@@ -199,11 +200,11 @@ def test_check_cache_catches_stale_terms():
     z = 0.3 * np.asarray(normal(key, [4, target.dim]))
     value, grad, terms = target.value_and_grad(z, terms=True)
     batch = ChainBatch(z, value, grad, terms)
-    batch.check_cache(target)
+    check_cache(batch, target)
     terms = terms.copy()
     terms[1, -1] += 1e-3
     with pytest.raises(AssertionError, match="out of sync"):
-        ChainBatch(z, value, grad, terms).check_cache(target)
+        check_cache(ChainBatch(z, value, grad, terms), target)
 
 
 def test_chees_agrees_between_retentions(tmp_path):

@@ -21,6 +21,7 @@ from manychain.sampler import (
     run_chains,
     warmup_adapt,
 )
+from testkit import check_cache
 import manychain.diagnostics as diag
 import manychain.sampler as sampler
 
@@ -224,7 +225,7 @@ def test_divergent_proposal_rejects_and_keeps_cache():
     assert not out.is_accepted.any()
     np.testing.assert_array_equal(out.log_accept_ratio, np.full(4, -np.inf))
     np.testing.assert_array_equal(new_batch.z, batch.z)
-    new_batch.check_cache(target)  # rejected chains keep a valid cache
+    check_cache(new_batch, target)  # rejected chains keep a valid cache
 
 
 def test_accepted_step_keeps_cache_consistent():
@@ -235,7 +236,7 @@ def test_accepted_step_keeps_cache_consistent():
     cfg = HmcConfig(step_size=0.02, num_leapfrog_steps=5, jitter=False)
     new_batch, out = hmc_step(target, cfg, batch, step_key, jitter_key)
     assert out.is_accepted.any()
-    new_batch.check_cache(target)
+    check_cache(new_batch, target)
 
 
 def test_stable_ratio_matches_energy_difference_in_double():

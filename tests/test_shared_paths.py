@@ -1,13 +1,17 @@
 """The shared iteration loop and transition, pinned against the code they
 replaced: warmup_adapt against its former three-phase loop with its own key
-schedule, StepOutput.proposal against the accept select, and
-the precision demo's float64 oracle against a fully independent one."""
+schedule, StepOutput.proposal against the accept select, the rejection of
+non-finite proposals against the proposal scan hmc_step once ran, and the
+precision demo's float64 oracle against a fully independent one."""
 
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import manychain.cli as cli
 import manychain.diagnostics as diag
@@ -23,6 +27,7 @@ from manychain.sampler import (
     iteration_keys,
     warmup_adapt,
 )
+from testkit import check_cache
 
 
 def small_model(seed, precision, rows=80, features=4, threads=1):
@@ -135,6 +140,76 @@ def test_proposal_is_the_pre_select_endpoint():
         rejected += int((~acc).sum())
         batch = new
     assert accepted > 0 and rejected > 0
+
+
+INJECT_CHAINS = 8
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("stable", [False, True])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    injected=st.dictionaries(
+        st.integers(0, INJECT_CHAINS - 1),
+        st.tuples(st.integers(0, 8), st.sampled_from(["inf", "-inf", "nan", "overflow"])),
+        min_size=1,
+        max_size=INJECT_CHAINS - 1,
+    ),
+)
+@settings(max_examples=20, deadline=None)
+def test_non_finite_momenta_reject_and_keep_their_rows(precision, stable, seed, injected):
+    """Momenta that are non-finite, or so large that their kinetic energy
+    overflows, are written into random rows of an iteration's draws. The
+    log accept ratio is then -inf on those rows and wherever the proposal
+    or its density is not finite, and is never NaN or +inf; every -inf row
+    rejects and keeps its state, value, gradient and terms; every other row
+    has the bits of the same iteration without the injection."""
+    target, key = small_model(seed, precision)
+    assert target.dim == 9
+    k_init, k_run = split(key, 2)
+    z = 0.4 * np.asarray(normal(k_init, [INJECT_CHAINS, target.dim]), dtype=target.dtype)
+    value, grad, terms = target.value_and_grad(z, terms=True)
+    batch = ChainBatch(z, value, grad, terms if stable else None)
+    config = HmcConfig(step_size=0.25, num_leapfrog_steps=3, stable_ratio=stable)
+    step_key, jitter_key = next(iteration_keys(k_run, 1))
+    overflow = 2.0 * float(np.sqrt(np.finfo(target.dtype).max))
+    draw = sampler.normal_uniform_each
+
+    def injecting_draw(key, num_chains, size):
+        normals, u = draw(key, num_chains, size)
+        for row, (col, kind) in injected.items():
+            normals[row, col] = overflow if kind == "overflow" else float(kind)
+        return normals, u
+
+    with np.errstate(all="ignore"):
+        _, clean = hmc_step(target, config, batch, step_key, jitter_key)
+        with mock.patch.object(sampler, "normal_uniform_each", injecting_draw):
+            new, out = hmc_step(target, config, batch, step_key, jitter_key)
+        finite_z = np.all(np.isfinite(out.proposal), axis=1)
+        proposal_value = np.full(INJECT_CHAINS, -np.inf)
+        if finite_z.any():
+            proposal_value[finite_z] = target.log_prob(out.proposal[finite_z])
+
+    r = out.log_accept_ratio
+    assert r.dtype == target.dtype
+    assert np.all(np.isfinite(r) | np.isneginf(r))
+    rows = np.array(sorted(injected))
+    assert np.all(np.isneginf(r[rows]))
+    assert np.all(np.isneginf(r[~np.isfinite(proposal_value)]))
+
+    dead = np.isneginf(r)
+    assert not out.is_accepted[dead].any()
+    cached = [(new.z, batch.z), (new.value, batch.value), (new.grad, batch.grad)]
+    if stable:
+        cached.append((new.terms, terms))
+    for kept, before in cached:
+        assert same_bits(kept[dead], before[dead])
+    check_cache(new, target)
+
+    others = np.setdiff1d(np.arange(INJECT_CHAINS), rows)
+    assert same_bits(r[others], clean.log_accept_ratio[others])
+    assert same_bits(out.is_accepted[others], clean.is_accepted[others])
+    assert same_bits(out.z[others], clean.z[others])
 
 
 def test_demo_oracle_is_minus_inf_where_the_proposal_overflowed():

@@ -25,6 +25,7 @@ from manychain.cli import main
 from manychain.model import ModelTarget, _bernoulli_terms, _sign_residuals, generate_synthetic
 from manychain.prng import key_from_seed, normal, split
 from manychain.sampler import HmcConfig, run_chains
+from testkit import check_cache
 
 CHAIN_COUNTS = [1, 15, 16, 17, 32, 33, 48, 64, 256]
 
@@ -251,7 +252,7 @@ def test_check_cache_holds_after_a_stable_ratio_run(precision, chains):
     cfg = HmcConfig(step_size=0.01, num_leapfrog_steps=3, stable_ratio=True)
     summary = run_chains(target, cfg, z0, k_run, 3)
     assert summary.final_batch.terms is not None
-    summary.final_batch.check_cache(target)
+    check_cache(summary.final_batch, target)
 
 
 @pytest.mark.parametrize("chains", [64, 100])
