@@ -37,7 +37,9 @@ from .model import (
     Dataset,
     GaussianTarget,
     ModelTarget,
+    constrain,
     generate_synthetic,
+    joint_log_prob,
     load_csv_dataset,
     replicate_dataset,
 )
@@ -165,7 +167,6 @@ def cmd_sample(args) -> int:
     config = HmcConfig(
         step_size=args.step_size,
         num_leapfrog_steps=args.leapfrog_steps,
-        stable_ratio=args.stable_ratio,
     )
     z0 = initial_states(init_key, args.chains, target.dim)
 
@@ -337,10 +338,11 @@ def _demo_mass(target: ModelTarget) -> np.ndarray:
 
 
 def _double_oracle(t32, t64, out, z) -> np.ndarray:
-    """Float64 oracle of a float32 stable-ratio step from states z: its log
-    accept ratio with the density part redone in double, -inf where that
-    ratio is not finite (a diverged proposal)."""
-    r = out.log_accept_ratio.astype(np.float64)
+    """Float64 oracle of a float32 step from states z: its log accept ratio
+    with the density part, the float32 model's float64 log_prob_ratio,
+    redone on the float64 model; -inf where that ratio is not finite (a
+    diverged proposal)."""
+    r = out.log_accept_ratio
     ok = np.isfinite(r)
     # a finite ratio implies a finite proposal; diverged rows are redone at z
     z1 = np.where(ok[:, None], out.proposal, z)
@@ -349,11 +351,29 @@ def _double_oracle(t32, t64, out, z) -> np.ndarray:
     return np.where(ok, redone, -np.inf)
 
 
+def _naive_ratio(t32, out, z, value) -> np.ndarray:
+    """The textbook float32 log accept ratio of a float32 step from states
+    z, whose float64 log densities are value: the float32 difference of two
+    float32 energies, each minus a log density accumulated in float32
+    (joint_log_prob plus the log-det-Jacobian). Energies count kinetic
+    energy from the start's, so the proposal's kinetic part is the change
+    the step's own ratio implies. -inf where that ratio is not finite."""
+    r = out.log_accept_ratio
+    ok = np.isfinite(r)
+    z1 = np.where(ok[:, None], out.proposal, z)
+    params, ldj = constrain(np.concatenate([z, z1]))
+    total = joint_log_prob(t32, params) + ldj.astype(np.float32)
+    start, end = np.split(total, 2)
+    # r = kinetic drop + (v1 - v0), the values float64
+    kinetic_gain = ((t32.log_prob(z1) - value) - r).astype(np.float32)
+    return np.where(ok, -start - (kinetic_gain - end), -np.inf)
+
+
 def cmd_precision_demo(args) -> int:
-    """Float32 chains advanced by the sampler's stable transition. Every
-    iteration also runs the naive transition from the same batch with the
-    same keys; both integrate bit-identically, so the two ratios are the
-    sampler's own on one proposal. The float64 oracle is _double_oracle."""
+    """Float32 chains advanced by the sampler's transition, whose accept
+    ratio differences float64 totals. Every iteration also forms the naive
+    float32 ratio of the same proposal (_naive_ratio) and the float64
+    oracle (_double_oracle)."""
     data_key, _, _, run_key = _expand_seed(args.seed)
     if args.steps < 1 or args.chains < 1 or args.leapfrog_steps < 1:
         raise UsageError("--steps, --chains and --leapfrog-steps must be positive")
@@ -385,18 +405,16 @@ def cmd_precision_demo(args) -> int:
             file=sys.stderr,
         )
 
-    naive_config = replace(config, mass_diag=_demo_mass(t64))
-    stable_config = replace(naive_config, stable_ratio=True)
+    config = replace(config, mass_diag=_demo_mass(t64))
     c = args.chains
     batch = ChainBatch.init(t32, np.tile(z0, (c, 1)))
     naive, stable, oracle = [], [], []
     with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
         for step_key, jitter_key in iteration_keys(run_key, args.steps):
-            _, out = hmc_step(t32, naive_config, batch, step_key, jitter_key)
-            naive.append(out.log_accept_ratio.astype(np.float64))
-            z = batch.z
-            batch, out = hmc_step(t32, stable_config, batch, step_key, jitter_key)
-            stable.append(out.log_accept_ratio.astype(np.float64))
+            z, value = batch.z, batch.value
+            batch, out = hmc_step(t32, config, batch, step_key, jitter_key)
+            naive.append(_naive_ratio(t32, out, z, value))
+            stable.append(out.log_accept_ratio)
             oracle.append(_double_oracle(t32, t64, out, z))
 
     naive, stable, oracle = map(np.stack, (naive, stable, oracle))
@@ -453,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--leapfrog-steps", type=int, default=8)
     ps.add_argument("--adapt", action=argparse.BooleanOptionalAction, default=True)
     ps.add_argument("--precision", choices=["single", "double"], default="double")
-    ps.add_argument("--stable-ratio", action=argparse.BooleanOptionalAction, default=False)
+    ps.add_argument("--stable-ratio", action=argparse.BooleanOptionalAction, default=False,
+                    help="accepted and ignored: every accept ratio is the difference of "
+                         "float64 energies, accurate at either precision")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--retention", choices=["full", "moments-only"], default="full")
     ps.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
@@ -481,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser(
         "precision-demo",
-        help="single-precision accept-ratio failure vs the stable ratio path",
+        help="single-precision accept-ratio failure vs the sampler's float64-accumulated ratio",
     )
     pp.add_argument("--model", default=None,
                     help="optional dataset selector; default: built-in synthetic base")

@@ -28,19 +28,18 @@ columns of a (D, C) gradient.
 
 The base class Target checks states (dtype cast, finiteness, shape, width)
 and writes log_prob, grad, value_and_grad and log_prob_ratio once; a target
-(ModelTarget, GaussianTarget) supplies dim, param_names() and three hooks on
-a checked (C, P) batch: _evaluate(zb, terms, grad), the one evaluation, which
-returns the per-term pieces and the gradient as asked; _value(terms), which
-sums the pieces into the density; and terms_ratio(new, old), which
-differences two states' pieces before summing.
+(ModelTarget, GaussianTarget) supplies dim, param_names() and one hook on a
+checked (C, P) batch: _evaluate(zb, value, grad), the one evaluation, which
+returns the density and the gradient as asked.
 
-log_prob_ratio computes log p(z_new) - log p(z_old) by differencing the two
-states per prior term and per observation BEFORE summing. In single
-precision this sidesteps the catastrophic loss that hits the naive
-difference of two large totals once |log density| crosses 2**24. The
-sampler gets those per-term pieces from value_and_grad(z, terms=True) at
-trajectory endpoints and differences cached ones with terms_ratio, the
-same code log_prob_ratio runs.
+Every density value is accumulated in float64, at either working precision:
+each term is computed at the working width and summed into a float64 total
+(Higham 2002, ch. 4). In single precision each term keeps its own float32
+rounding, but the sum adds only float64 rounding, about 2**-53 of the
+total per addition, so the difference of two totals past 2**24 keeps the
+small ratio that a float32 total (spacing 2 or more there) would round
+away. log_prob_ratio, and the sampler's accept ratio, are that float64
+difference. Gradients stay at the working precision.
 
 grad(z) is the gradient alone, bitwise equal to value_and_grad(z)[1]: the
 gradient code exists once and both call it.
@@ -58,7 +57,10 @@ blocks to at most T workers, the calling thread and T - 1 pool workers,
 and each group writes its own rows, so no row's bits depend on T. Each
 thread writes its blocks' margins, residuals and terms into two (N,
 block_rows) scratch panels of its own, allocated on its first evaluation,
-so a warm evaluation allocates only its outputs and its (C, .) arrays.
+and sums each block's terms panel by columns into the block's rows of the
+float64 total, with one gemv against a ones vector (in single precision
+from a float64 copy of the panel, a third scratch panel). A warm
+evaluation allocates only its outputs and its (C, .) arrays.
 """
 
 from __future__ import annotations
@@ -307,11 +309,11 @@ class Target:
 
     The checked API (log_prob, grad, value_and_grad, log_prob_ratio) is
     written once here. A subclass sets dim and supplies param_names() and
-    three hooks on a checked (C, dim) batch: _evaluate, _value and
-    terms_ratio.
+    one hook on a checked (C, dim) batch, _evaluate.
 
     precision selects the arithmetic width of every density and gradient
-    evaluation ("double" or "single").
+    evaluation ("double" or "single"); density values are float64 totals
+    at either width.
     """
 
     def __init__(self, precision: str = "double"):
@@ -330,9 +332,10 @@ class Target:
         return zb, single
 
     def log_prob(self, z):
-        """Log density of a (P,) state, or of every row of a (C, P) batch."""
+        """Float64 log density of a (P,) state, or of every row of a (C, P)
+        batch."""
         zb, single = self._prepare(z)
-        out = self._value(self._evaluate(zb, terms=True, grad=False)[0])
+        out = self._evaluate(zb, value=True, grad=False)[0]
         return out[0] if single else out
 
     def grad(self, z):
@@ -342,38 +345,35 @@ class Target:
         value), which is why interior leapfrog steps call this.
         """
         zb, single = self._prepare(z)
-        grad = self._evaluate(zb, terms=False, grad=True)[1]
+        grad = self._evaluate(zb, value=False, grad=True)[1]
         return grad[0] if single else grad
 
-    def value_and_grad(self, z, terms=False):
+    def value_and_grad(self, z):
         """Log density and its analytic gradient, one shared evaluation.
 
         The value is computed through exactly the same operations as
-        log_prob, so the two agree bit for bit. With terms=True the per-term
-        pieces the value was summed from come back third, ready for
-        terms_ratio.
+        log_prob, so the two agree bit for bit.
         """
         zb, single = self._prepare(z)
-        t, grad = self._evaluate(zb, terms=True, grad=True)
-        out = (self._value(t), grad) + ((t,) if terms else ())
+        out = self._evaluate(zb, value=True, grad=True)
         return tuple(a[0] for a in out) if single else out
 
     def log_prob_ratio(self, z_new, z_old):
-        """log p(z_new) - log p(z_old), differenced term by term.
+        """log p(z_new) - log p(z_old), the difference of two float64 totals.
 
-        Every additive term is subtracted between the two states before
-        anything is summed (terms_ratio), so the small true ratio is never
-        recovered from two large, independently rounded totals. The ratio of
-        a state with itself is exactly 0.0.
+        A dead state (log density -inf) gives -inf as the new state and
+        +inf as the old one; two dead states give -inf. The ratio of a state
+        with itself is exactly 0.0.
         """
         zn, single_n = self._prepare(z_new)
         zo, single_o = self._prepare(z_old)
         if zn.shape != zo.shape:
             raise ValueError(f"state shapes differ: {zn.shape} vs {zo.shape}")
-        ratio = self.terms_ratio(
-            self._evaluate(zn, terms=True, grad=False)[0],
-            self._evaluate(zo, terms=True, grad=False)[0],
-        )
+        new = self._evaluate(zn, value=True, grad=False)[0]
+        old = self._evaluate(zo, value=True, grad=False)[0]
+        # -inf - -inf between two dead states is masked right below
+        with np.errstate(invalid="ignore"):
+            ratio = np.where(np.isneginf(new), -np.inf, new - old)
         return ratio[0] if (single_n and single_o) else ratio
 
 
@@ -409,17 +409,21 @@ class ModelTarget(Target):
         self._gamma_a, self._gamma_r = self.dtype(GAMMA_SHAPE), self.dtype(GAMMA_RATE)
         self._half = self.dtype(0.5)
         self.block_rows = BLOCK_BYTES // self._xs.itemsize
+        self._ones = np.ones(len(self._xs))  # sums a float64 terms panel by columns
         self._scratch = threading.local()
 
     def _panels(self):
-        """This thread's (N, b) views of its two scratch panels, indexed by
-        block width b; the panels are allocated on the thread's first call."""
+        """This thread's (N, b) views of its scratch panels, indexed by block
+        width b: (margins, work, wide). wide holds the float64 terms the
+        block sums: work itself in double precision, a third panel in
+        single. The panels are allocated on the thread's first call."""
         try:
             return self._scratch.panels
         except AttributeError:
             n, rows = len(self._xs), self.block_rows
-            bufs = np.empty((2, n * rows), dtype=self.dtype)
-            panels = [None] + [tuple(buf[: n * b].reshape(n, b) for buf in bufs)
+            margins, work = np.empty((2, n * rows), dtype=self.dtype)
+            wide = work if self.dtype == np.float64 else np.empty(n * rows)
+            panels = [None] + [tuple(buf[: n * b].reshape(n, b) for buf in (margins, work, wide))
                                for b in range(1, rows + 1)]
             self._scratch.panels = panels
             return panels
@@ -428,29 +432,31 @@ class ModelTarget(Target):
         d = self.num_features
         return ["u_tau"] + [f"u_lamb_{j}" for j in range(d)] + [f"beta_{j}" for j in range(d)]
 
-    def _evaluate(self, zb, terms: bool, grad: bool):
-        """The one evaluation, returning (terms or None, grad or None).
+    def _evaluate(self, zb, value: bool, grad: bool):
+        """The one evaluation, returning (value or None, grad or None).
 
-        terms holds every additive piece of the log density, one row per
-        state: [t_tau, t_lamb (D), t_beta (D), t_obs (N)], so (C, P + N).
-        Gamma(a, r) on v = exp(u) plus the du contribution collapses to
-        a*log r - lgamma(a) + a*u - r*exp(u), which stays -inf (never NaN or
-        +inf) as u walks off either end of the line. grad is the analytic
-        gradient.
+        value is the (C,) float64 log density: the prior terms of u_tau,
+        u_lamb (D) and beta (D), and the N Bernoulli terms, each at the
+        working precision and summed in float64. Gamma(a, r) on v = exp(u)
+        plus the du contribution collapses to a*log r - lgamma(a) + a*u -
+        r*exp(u), which stays -inf (never NaN or +inf) as u walks off either
+        end of the line; a state whose prior is not finite is dead, -inf.
+        grad is the analytic gradient.
 
         The per-observation pipeline (margins, Bernoulli terms, residuals
         times x) runs block by block, each block of b states as an (N, b)
-        panel that stays in cache: margins xs @ coefs.T, and the residual
+        panel that stays in cache: margins xs @ coefs.T, the residual
         product xs.T @ residuals into the block's columns of a (D, C)
-        gradient. The margins and the residuals or Bernoulli terms are
-        written into the evaluating thread's two scratch panels, never
-        into fresh arrays.
+        gradient, and the terms panel's column sums, ones @ terms in
+        float64, into the block's rows of the likelihood total. The margins,
+        the residuals and the terms are written into the evaluating thread's
+        scratch panels, never into fresh arrays.
         """
-        c, d, p = len(zb), self.num_features, self.dim
+        c, d = len(zb), self.num_features
         # u = [u_tau, u_lamb], the log scales, adjacent in the state
         u, beta = zb[:, : 1 + d], zb[:, 1 + d :]
         a, r = self._gamma_a, self._gamma_r
-        t = np.empty((c, p + len(self._xs)), dtype=self.dtype) if terms else None
+        total = np.empty(c) if value else None
         g_t = np.empty((d, c), dtype=self.dtype) if grad else None
         out = None
         # overflow to inf is fine: an overflowed scale is dead by prior and
@@ -464,13 +470,16 @@ class ModelTarget(Target):
             def pipeline(blocks):
                 panels = self._panels()
                 for rows in blocks:
-                    margins, work = panels[rows.stop - rows.start]
+                    margins, work, wide = panels[rows.stop - rows.start]
                     np.matmul(self._xs, coefs_t[:, rows], out=margins)
                     if grad:
                         np.matmul(self._xs_t, _sign_residuals(margins, out=work),
                                   out=g_t[:, rows])
-                    if terms:  # last: it overwrites the margins
-                        _bernoulli_terms(margins, out=t[rows, p:].T, scratch=work)
+                    if value:  # last: it overwrites the margins
+                        _bernoulli_terms(margins, out=work, scratch=work)
+                        if wide is not work:
+                            np.copyto(wide, work)
+                        np.matmul(self._ones, wide, out=total[rows])
 
             blocks = _blocks(c, self.block_rows)
             # blocks per group; 1 for an empty batch, so the range step is positive
@@ -480,9 +489,14 @@ class ModelTarget(Target):
             pipeline(blocks[:share])
             for job in jobs:
                 job.result()
-            if terms:
-                t[:, : 1 + d] = self._gamma_const + a * u - r * exp_u
-                t[:, 1 + d : p] = self._normal_const - self._half * beta * beta
+            if value:
+                prior_terms = np.empty_like(zb)
+                prior_terms[:, : 1 + d] = self._gamma_const + a * u - r * exp_u
+                prior_terms[:, 1 + d :] = self._normal_const - self._half * beta * beta
+                prior = prior_terms.sum(axis=1, dtype=np.float64)
+                total += prior
+                # a scale that overflowed exp() is dead by prior; never report NaN
+                total[~np.isfinite(prior)] = -np.inf
             if grad:
                 g = g_t.T
                 coefs_g = np.multiply(coefs, g, out=coefs)
@@ -493,45 +507,16 @@ class ModelTarget(Target):
                 out[:, 1 : 1 + d] += coefs_g
                 np.multiply(scale, g, out=tail)
                 tail -= beta
-        return t, out
-
-    def _prior_scale_sum(self, terms):
-        return terms[:, 0] + terms[:, 1 : 1 + self.num_features].sum(axis=1)
-
-    def _value(self, terms):
-        p = self.dim
-        prior = self._prior_scale_sum(terms) + terms[:, 1 + self.num_features : p].sum(axis=1)
-        total = prior + terms[:, p:].sum(axis=1)
-        # a scale that overflowed exp() is dead by prior; never report NaN
-        return np.where(np.isfinite(prior), total, self.dtype(-np.inf))
-
-    def terms_ratio(self, terms_new, terms_old):
-        """log_prob_ratio from the (C, P + N) terms of value_and_grad.
-
-        A state dead by its scale prior (-inf) gives -inf as the new state
-        and +inf as the old one; two dead states give -inf.
-        """
-        d, p = self.num_features, self.dim
-        # inf - inf between two dead states is masked right below
-        with np.errstate(invalid="ignore"):
-            diff = terms_new - terms_old
-        ratio = (
-            diff[:, 0]
-            + diff[:, 1 : 1 + d].sum(axis=1)
-            + diff[:, 1 + d : p].sum(axis=1)
-            + diff[:, p:].sum(axis=1)
-        )
-        dead_n = ~np.isfinite(self._prior_scale_sum(terms_new))
-        dead_o = ~np.isfinite(self._prior_scale_sum(terms_old))
-        ratio = np.where(dead_n, self.dtype(-np.inf), ratio)
-        return np.where(dead_o & ~dead_n, self.dtype(np.inf), ratio)
+        return total, out
 
 
 def joint_log_prob(target: ModelTarget, params: ConstrainedParams):
     """Log joint density at natural-scale parameters (no Jacobian term).
 
     Reference constrained-space evaluation: Gamma priors on tau and lamb,
-    standard normal on beta, logit-space Bernoulli likelihood.
+    standard normal on beta, logit-space Bernoulli likelihood. Unlike
+    log_prob it sums at the target's working precision, which makes it the
+    naive float32 total precision-demo sets against the sampler's ratio.
     """
     tau = np.asarray(params.tau, dtype=target.dtype)
     lamb = np.asarray(params.lamb, dtype=target.dtype)
@@ -560,16 +545,12 @@ class GaussianTarget(Target):
             raise ValueError(f"dim must be positive, got {dim}")
         super().__init__(precision)
         self.dim = dim
-        self._const = self.dtype(-0.5 * dim * _LOG_2PI)
+        self._const = -0.5 * dim * _LOG_2PI
 
     def param_names(self) -> list[str]:
         return [f"z{j}" for j in range(self.dim)]
 
-    def _evaluate(self, zb, terms: bool, grad: bool):
-        return (self.dtype(-0.5) * zb * zb if terms else None, -zb if grad else None)
-
-    def _value(self, terms):
-        return self._const + terms.sum(axis=1)
-
-    def terms_ratio(self, terms_new, terms_old):
-        return (terms_new - terms_old).sum(axis=1)
+    def _evaluate(self, zb, value: bool, grad: bool):
+        total = (self._const + (self.dtype(-0.5) * zb * zb).sum(axis=1, dtype=np.float64)
+                 if value else None)
+        return total, -zb if grad else None

@@ -22,18 +22,20 @@ to c(P + 1) + P, its momentum and then its accept uniform. A chain's draws
 therefore do not depend on how many chains run beside it.
 
 Each iteration integrates the whole batch as one array program: hmc_step
-runs _leapfrog, its evaluations and the stable-ratio terms once over all C
-chains. Runs are bitwise reproducible from (seed, config): no row's
-arithmetic depends on the other rows' values, and every cross-chain reduction
-happens in a fixed order. Parallel work, where a target has any, lives in
-its batch evaluation (ModelTarget's threads), which keeps each row's bits.
+runs _leapfrog and its evaluations once over all C chains. Runs are
+bitwise reproducible from (seed, config): no row's arithmetic depends on
+the other rows' values, and every cross-chain reduction happens in a fixed
+order. Parallel work, where a target has any, lives in its batch
+evaluation (ModelTarget's threads), which keeps each row's bits.
 
-Interior leapfrog steps evaluate only the gradient; the density value, and
-the per-term pieces the stable ratio differences, are evaluated once per
-trajectory at its endpoint. Rejected chains keep their cached density value,
-gradient and terms; a non-finite proposal density, coordinate, or ratio
-forces rejection through a -inf log accept ratio rather than poisoning the
-batch with NaNs.
+Interior leapfrog steps evaluate only the gradient; the density value is
+evaluated once per trajectory, at its endpoint. The log accept ratio is the
+difference of two float64 energies, kinetic energy minus the target's
+float64 log density, so at either working precision a small ratio survives
+a log density far past 2**24 (see model). Rejected chains keep their cached
+density value and gradient; a non-finite proposal density, coordinate, or
+ratio forces rejection through a -inf log accept ratio rather than
+poisoning the batch with NaNs.
 """
 
 from __future__ import annotations
@@ -64,16 +66,13 @@ class HmcConfig:
     step_size may be 0 (degenerate identity dynamics, occasionally useful
     to isolate the accept path); it must not be negative. mass_diag is a
     per-dimension mass vector (1/posterior variance scale); None means
-    identity. stable_ratio selects the per-term log density ratio for the
-    accept test instead of differencing two energy totals. The working
-    precision is always the target's.
+    identity. The working precision is always the target's.
     """
 
     step_size: float
     num_leapfrog_steps: int
     jitter: bool = True
     mass_diag: np.ndarray | None = None
-    stable_ratio: bool = False
 
     def __post_init__(self):
         if not (self.step_size >= 0.0 and math.isfinite(self.step_size)):
@@ -92,17 +91,12 @@ class HmcConfig:
 
 @dataclass
 class ChainBatch:
-    """C chain states with cached log density values and gradients.
-
-    terms caches the per-term log density pieces (value_and_grad with
-    terms=True) of every state for the stable ratio; it stays None until a
-    stable-ratio step fills it in.
-    """
+    """C chain states at the working precision, with their cached float64
+    log density values and working-precision gradients."""
 
     z: np.ndarray  # (C, P)
-    value: np.ndarray  # (C,)
+    value: np.ndarray  # (C,) float64
     grad: np.ndarray  # (C, P)
-    terms: np.ndarray | None = None  # (C, K)
 
     def __post_init__(self):
         if len(self.z) == 0:
@@ -154,14 +148,14 @@ def leapfrog_step(target, step_size, z, m, grad, mass_diag=None, num_steps=1):
         inv_mass = (1.0 / np.asarray(mass_diag)).astype(dtype)
     else:
         inv_mass = None
-    out = _leapfrog(target, eps, num_steps, z, m, grad, inv_mass)[:4]
+    out = _leapfrog(target, eps, num_steps, z, m, grad, inv_mass)
     return tuple(a[0] for a in out) if single else out
 
 
 def _leapfrog(target, eps, num_steps, z, m, grad, inv_mass):
     """Integrate num_steps >= 1 leapfrog updates. Interior steps need only
-    the gradient; the density value and its per-term pieces are evaluated
-    once, at the endpoint. Returns (z, m, value, grad, terms)."""
+    the gradient; the density value is evaluated once, at the endpoint.
+    Returns (z, m, value, grad)."""
     half = eps * z.dtype.type(0.5)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for step in range(num_steps, 0, -1):
@@ -170,20 +164,20 @@ def _leapfrog(target, eps, num_steps, z, m, grad, inv_mass):
             if step > 1:
                 grad = _eval(target.grad, z)
             else:
-                value, grad, terms = _eval(target.value_and_grad, z, terms=True)
+                value, grad = _eval(target.value_and_grad, z)
             m = m + half * grad
-    return z, m, value, grad, terms
+    return z, m, value, grad
 
 
-def _eval(evaluate, z, **kwargs):
+def _eval(evaluate, z):
     """evaluate(z) that tolerates non-finite states mid-trajectory: a dead
     row is evaluated at the origin instead and comes back with value -inf
     and every other output NaN. A finite batch costs one whole-array scan
     here; only a batch that fails it is scanned row by row."""
     if np.isfinite(z).all():
-        return evaluate(z, **kwargs)
+        return evaluate(z)
     dead = ~np.isfinite(z).all(axis=1)
-    out = evaluate(np.where(dead[:, None], z.dtype.type(0.0), z), **kwargs)
+    out = evaluate(np.where(dead[:, None], z.dtype.type(0.0), z))
 
     def mask(a):
         if a.ndim == 1:
@@ -251,43 +245,27 @@ def hmc_step(
     if sqrt_mass is not None:
         m0 = m0 * sqrt_mass
 
-    z1, m1, value1, grad1, terms1 = _leapfrog(
+    z1, m1, value1, grad1 = _leapfrog(
         target, dtype(config.step_size), num_steps, batch.z, m0, batch.grad, inv_mass
     )
 
-    # _eval gives a non-finite endpoint state value -inf and NaN gradient
-    # and terms, and a non-finite value at a finite state has a non-finite
-    # term, so either path's ratio for such a row is not finite: it rejects
+    # _eval gives a non-finite endpoint state value -inf and NaN gradient,
+    # so the ratio for such a row is not finite: it rejects
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        if config.stable_ratio:
-            terms0 = batch.terms
-            if terms0 is None:
-                terms0 = target.value_and_grad(batch.z, terms=True)[2]
-            kin_diff = (0.5 * ((m0 * m0) - (m1 * m1))) if inv_mass is None else (
-                0.5 * ((m0 * m0) - (m1 * m1)) * inv_mass
-            )
-            log_accept_ratio = kin_diff.sum(axis=1) + target.terms_ratio(terms1, terms0)
-        else:
-            kin0 = (0.5 * m0 * m0 if inv_mass is None else 0.5 * m0 * m0 * inv_mass).sum(axis=1)
-            kin1 = (0.5 * m1 * m1 if inv_mass is None else 0.5 * m1 * m1 * inv_mass).sum(axis=1)
-            energy0 = kin0 - batch.value
-            energy1 = kin1 - value1
-            log_accept_ratio = energy0 - energy1
+        kin0 = (0.5 * m0 * m0 if inv_mass is None else 0.5 * m0 * m0 * inv_mass).sum(axis=1)
+        kin1 = (0.5 * m1 * m1 if inv_mass is None else 0.5 * m1 * m1 * inv_mass).sum(axis=1)
+        # float64 energies: the values are float64 at any working precision
+        log_accept_ratio = (kin0 - batch.value) - (kin1 - value1)
 
-    log_accept_ratio = np.where(np.isfinite(log_accept_ratio), log_accept_ratio, dtype(-np.inf))
+    log_accept_ratio = np.where(np.isfinite(log_accept_ratio), log_accept_ratio, -np.inf)
 
     accepted = log_u < log_accept_ratio
     keep = accepted[:, None]
-    if config.stable_ratio:
-        # terms1 is this step's own array: rejected rows take terms0 in place
-        rejected = np.flatnonzero(~accepted)
-        terms1[rejected] = terms0[rejected]
     new_batch = ChainBatch(
         # z1 is kept as the proposal, so the kept states go to a new array
         z=np.where(keep, z1, batch.z),
         value=np.where(accepted, value1, batch.value),
         grad=np.where(keep, grad1, batch.grad),
-        terms=terms1 if config.stable_ratio else None,
     )
     out = StepOutput(
         z=new_batch.z,

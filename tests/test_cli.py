@@ -290,8 +290,10 @@ def test_precision_demo_every_proposal_diverged(capsys, leapfrog_steps):
 
 
 def test_precision_demo_some_proposals_diverged(tmp_path, monkeypatch):
-    """At this step size some but not all of the 40 transitions diverge; the
-    demo reports over the finite ones and leaks no warning."""
+    """At this step size some but not all of the 40 transitions diverge (26
+    of 40: their float32 trajectories overflow; a float64 total of float32
+    terms does not); the demo reports over the finite ones and leaks no
+    warning."""
     import manychain.cli as cli
 
     oracles = []
@@ -306,7 +308,7 @@ def test_precision_demo_some_proposals_diverged(tmp_path, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["precision-demo", "--model", f"german-credit:{SMALL_CSV}",
-                   "--replication", "1", "--step-size", "29.8", "--steps", "10",
+                   "--replication", "1", "--step-size", "30.4", "--steps", "10",
                    "--chains", "4", "--leapfrog-steps", "8", "--output", str(out)])
     assert rc == 0
     diverged = np.isneginf(np.stack(oracles))

@@ -1,15 +1,18 @@
 """Fast paths checked bit for bit against the slow paths they replace:
-gradient-only evaluation, gradient-only interior leapfrog steps, the cached
-per-term stable ratio, and ChEES streamed under moments-only retention. The
-fused Bernoulli term and residual are checked against scipy to stated bounds."""
+gradient-only evaluation, gradient-only interior leapfrog steps, the accept
+ratio as one difference of float64 energies, and ChEES streamed under
+moments-only retention. The fused Bernoulli term and residual are checked
+against scipy to stated bounds."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy.special import expit, log_expit
 
 import manychain.sampler as sampler
+from manychain import model
 from manychain.cli import main
 from manychain.model import (
     Dataset,
@@ -49,9 +52,9 @@ class CountingTarget:
         self.calls["grad"] += 1
         return self._target.grad(z)
 
-    def value_and_grad(self, z, terms=False):
+    def value_and_grad(self, z):
         self.calls["value_and_grad"] += 1
-        return self._target.value_and_grad(z, terms=terms)
+        return self._target.value_and_grad(z)
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
@@ -63,7 +66,6 @@ def test_model_grad_is_bitwise_value_and_grad(precision):
     overflow[3, 2] = 1e3  # and so does one lamb
     for z in (batch[0], batch, overflow):
         assert same_bits(target.grad(z), target.value_and_grad(z)[1])
-        assert same_bits(target.grad(z), target.value_and_grad(z, terms=True)[1])
     # the overflowed states really are dead, so the masking has work to do
     assert np.isneginf(target.value_and_grad(overflow)[0][[1, 3]]).all()
 
@@ -81,32 +83,35 @@ def test_gaussian_grad_is_bitwise_value_and_grad(precision):
     lambda: small_model(33, "single")[0],
     lambda: GaussianTarget(9),
 ])
-def test_terms_sum_to_value_and_ratio_matches_log_prob_ratio(make_target):
+def test_values_are_float64_and_ratio_is_their_difference(make_target):
+    """At either precision the value is a float64 total, value_and_grad's
+    is bitwise log_prob's, and log_prob_ratio is bitwise the difference of
+    the two states' values."""
     target = make_target()
     k_a, k_b = split(key_from_seed(34), 2)
     za = 0.5 * np.asarray(normal(k_a, [6, target.dim]))
     zb = 0.5 * np.asarray(normal(k_b, [6, target.dim]))
-    va, ga, ta = target.value_and_grad(za, terms=True)
-    assert same_bits(va, target.value_and_grad(za)[0])
+    va, ga = target.value_and_grad(za)
+    assert va.dtype == np.float64 and ga.dtype == target.dtype
     assert same_bits(va, target.log_prob(za))
-    _, _, tb = target.value_and_grad(zb, terms=True)
-    assert same_bits(target.terms_ratio(ta, tb), target.log_prob_ratio(za, zb))
+    assert same_bits(target.log_prob_ratio(za, zb), va - target.log_prob(zb))
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
-def test_terms_ratio_dead_state_rules(precision):
+def test_log_prob_ratio_dead_state_rules(precision):
     target, key = small_model(38, precision)
     d = target.num_features
     z = (0.3 * np.asarray(normal(key, [1, target.dim]))).astype(target.dtype)
     dead = z.copy()
     dead[0, 1] = 1e3  # lamb_0 overflows against beta_0 = 0: inf * 0 makes the
     dead[0, 1 + d] = 0.0  # logits, and so the likelihood terms, NaN
-    t_live = target.value_and_grad(z, terms=True)[2]
-    t_dead = target.value_and_grad(dead, terms=True)[2]
-    assert np.isnan(t_dead[0, target.dim :]).any()
-    assert target.terms_ratio(t_dead, t_live)[0] == -np.inf
-    assert target.terms_ratio(t_live, t_dead)[0] == np.inf
-    assert target.terms_ratio(t_dead, t_dead)[0] == -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = target._xs @ (np.exp(dead[0, 0] + dead[0, 1 : 1 + d]) * dead[0, 1 + d :])
+    assert np.isnan(margins).any()
+    assert np.isneginf(target.log_prob(dead)[0])
+    assert target.log_prob_ratio(dead, z)[0] == -np.inf
+    assert target.log_prob_ratio(z, dead)[0] == np.inf
+    assert target.log_prob_ratio(dead, dead)[0] == -np.inf
 
 
 def reference_leapfrog(target, eps, num_steps, z, m, grad, inv_mass):
@@ -145,7 +150,7 @@ def test_trajectory_matches_value_and_grad_at_every_step(precision, with_mass):
 
     got = sampler._leapfrog(target, eps, steps, z0, m0, g0, inv_mass)
     want = reference_leapfrog(base, eps, steps, z0, m0, g0, inv_mass)
-    for a, b in zip(got[:4], want):
+    for a, b in zip(got, want):
         assert same_bits(a, b)
     assert target.calls == {"grad": steps - 1, "value_and_grad": 1}
     z1, value1 = got[0], got[2]
@@ -154,17 +159,16 @@ def test_trajectory_matches_value_and_grad_at_every_step(precision, with_mass):
     assert np.all(np.isfinite(np.delete(z1, [2, 4], axis=0)))
 
 
-def test_stable_ratio_cache_matches_log_prob_ratio(monkeypatch):
-    """Each stable-ratio log accept ratio is bit for bit the kinetic
-    difference plus log_prob_ratio(z1, z_old), over iterations with
-    accepts, rejections and cached terms carried between them."""
+def test_accept_ratio_is_the_float64_energy_difference(monkeypatch):
+    """Each float32 log accept ratio is bit for bit the difference of the
+    two float64 energies, kinetic energy minus log_prob, over iterations
+    with accepts, rejections and cached values carried between them."""
     target, key = small_model(36, "single", rows=120)
     chains = 40  # two 32-row float32 BLAS blocks: 32 + 8
     k_init, k_run = split(key, 2)
     z_init = 0.4 * np.asarray(normal(k_init, [chains, target.dim]))
     batch = ChainBatch.init(target, z_init)
-    assert batch.terms is None
-    cfg = HmcConfig(step_size=0.25, num_leapfrog_steps=3, jitter=True, stable_ratio=True)
+    cfg = HmcConfig(step_size=0.25, num_leapfrog_steps=3, jitter=True)
 
     calls = []
     leapfrog = sampler._leapfrog
@@ -181,30 +185,28 @@ def test_stable_ratio_cache_matches_log_prob_ratio(monkeypatch):
         calls.clear()
         batch, out = hmc_step(target, cfg, batch, step_key, jitter_key)
         [(z0, m0, z1, m1)] = calls  # one call integrates the whole batch
-        kin = (0.5 * ((m0 * m0) - (m1 * m1))).sum(axis=1)
         ok = np.all(np.isfinite(z1), axis=1)
-        ratio = target.log_prob_ratio(np.where(ok[:, None], z1, z0), z0)
+        value1 = np.where(ok, target.log_prob(np.where(ok[:, None], z1, z0)), -np.inf)
         with np.errstate(invalid="ignore", over="ignore"):
-            r = kin + ratio
-        expected = np.where(ok & np.isfinite(r), r, np.float32(-np.inf))
+            r = ((0.5 * m0 * m0).sum(axis=1) - target.log_prob(z0)) - (
+                (0.5 * m1 * m1).sum(axis=1) - value1)
+        expected = np.where(np.isfinite(r), r, -np.inf)
         assert same_bits(out.log_accept_ratio, expected)
-        assert batch.terms is not None and batch.terms.shape[0] == chains
         check_cache(batch, target)
         accepted += int(out.is_accepted.sum())
         rejected += int((~out.is_accepted).sum())
     assert accepted > 0 and rejected > 0
 
 
-def test_check_cache_catches_stale_terms():
+def test_check_cache_catches_a_stale_value():
     target, key = small_model(37)
     z = 0.3 * np.asarray(normal(key, [4, target.dim]))
-    value, grad, terms = target.value_and_grad(z, terms=True)
-    batch = ChainBatch(z, value, grad, terms)
-    check_cache(batch, target)
-    terms = terms.copy()
-    terms[1, -1] += 1e-3
+    value, grad = target.value_and_grad(z)
+    check_cache(ChainBatch(z, value, grad), target)
+    value = value.copy()
+    value[1] += 1e-3
     with pytest.raises(AssertionError, match="out of sync"):
-        check_cache(ChainBatch(z, value, grad, terms), target)
+        check_cache(ChainBatch(z, value, grad), target)
 
 
 def test_chees_agrees_between_retentions(tmp_path):
@@ -291,26 +293,29 @@ def test_fused_terms_at_extreme_states(precision):
         [0.0, 800.0, -1.0],  # and so does lamb
     ], dtype=target.dtype)
     states = np.concatenate([live, dead])
-    value, grad, terms = target.value_and_grad(states, terms=True)
+    value, grad = target.value_and_grad(states)
     n_live = len(live)
 
-    t_obs = terms[:n_live, target.dim :]
-    assert not np.isnan(t_obs).any() and not (t_obs > 0).any()
     assert np.isfinite(value[:n_live]).all() and np.isfinite(grad[:n_live]).all()
     assert np.isneginf(value[n_live:]).all()
 
-    # the target's terms at [0, 0, 1] are the fused terms of sign * x
+    # the value at [0, 0, 1] is the float64 sum of the fused terms of sign * x
+    # and the prior terms at tau = lamb = beta = 1, to the float64 sum's bound
     sign = 2.0 * target.dataset.y - 1.0
     m = (sign * target.dataset.x[:, 0]).astype(target.dtype)
-    np.testing.assert_array_equal(t_obs[0], _bernoulli_terms(m))
+    t_obs = _bernoulli_terms(m)
+    assert not np.isnan(t_obs).any() and not (t_obs > 0).any()
+    t_scale = target._gamma_const - target.dtype(model.GAMMA_RATE)  # a * 0 - r * exp(0)
+    t_beta = target._normal_const - target.dtype(0.5)
+    terms = np.concatenate([t_obs, [t_scale, t_scale, t_beta]]).astype(np.float64)
+    assert abs(value[0] - math.fsum(terms)) <= len(terms) * 2.0**-53 * np.abs(terms).sum()
 
     assert same_bits(value, target.log_prob(states))
     assert same_bits(grad, target.grad(states))
-    assert same_bits(value, target.value_and_grad(states)[0])
 
-    ratio = target.terms_ratio
-    t_live, t_dead = terms[:1], terms[n_live : n_live + 1]
-    assert ratio(t_dead, t_live)[0] == -np.inf
-    assert ratio(t_live, t_dead)[0] == np.inf
-    assert ratio(t_dead, t_dead)[0] == -np.inf
-    assert np.isfinite(ratio(terms[:n_live], terms[:n_live][::-1])).all()
+    ratio = target.log_prob_ratio
+    live0, dead0 = states[0], states[n_live]
+    assert ratio(dead0, live0) == -np.inf
+    assert ratio(live0, dead0) == np.inf
+    assert ratio(dead0, dead0) == -np.inf
+    assert np.isfinite(ratio(live, live[::-1])).all()

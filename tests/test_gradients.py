@@ -74,7 +74,7 @@ def test_non_finite_derivative_is_an_infinite_error():
     assert np.all(rep.rel_error == np.inf) and rep.max_rel_error == np.inf
 
     class InfGradient(GaussianTarget):
-        def value_and_grad(self, z, terms=False):
+        def value_and_grad(self, z):
             value, grad = super().value_and_grad(z)
             return value, np.full_like(grad, np.inf)
 

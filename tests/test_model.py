@@ -1,5 +1,6 @@
 """Dataset handling and density/ratio correctness for the regression target."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import stats
 
 from manychain.gradients import finite_difference_check
 from manychain.model import (
+    GAMMA_RATE,
     ConstrainedParams,
     Dataset,
     DatasetError,
@@ -20,6 +22,7 @@ from manychain.model import (
     generate_synthetic,
     joint_log_prob,
     load_csv_dataset,
+    _bernoulli_terms,
     replicate_dataset,
 )
 from manychain.prng import key_from_seed, normal, split
@@ -362,8 +365,9 @@ def test_target_config_validation():
 
 
 def test_replicated_dataset_ratio_beats_naive_in_single():
-    """Past |log density| ~ 2^24 the naive float32 difference quantizes away
-    while the per-term path tracks the float64 oracle.
+    """Past |log density| ~ 2^24 the difference of two float32-accumulated
+    totals quantizes away, while the difference of the float32 target's
+    float64-accumulated totals tracks the float64 oracle.
 
     Scales are pinned at u = 0 (exp32(0) is exact) and the perturbation is a
     power of two, so both widths evaluate identical states and the comparison
@@ -389,8 +393,38 @@ def test_replicated_dataset_ratio_beats_naive_in_single():
     assert 0.5 < r64 < 1.5
     r32 = float(t32.log_prob_ratio(z_new, z_old))
     assert abs(r32 - r64) < 1e-2
-    naive32 = float(t32.log_prob(z_new)) - float(t32.log_prob(z_old))
+    params, ldj = constrain(np.stack([z_new, z_old]))
+    total32 = joint_log_prob(t32, params) + ldj.astype(np.float32)
+    assert total32.dtype == np.float32
+    naive32 = float(total32[0] - total32[1])
     assert abs(naive32 - r64) > 0.4
+
+
+def test_float32_value_is_the_float64_sum_of_its_float32_terms():
+    """Past 2^24, a float32 target's log_prob is within the float64 sum's
+    error bound, n * 2^-53 * sum |t|, of the exact (math.fsum) sum of the
+    same float32 terms, while their float32 sum is off by more. One feature
+    and u = 0 make every margin a single float32 product, so the reference
+    terms are the target's own, whatever the blocks' gemm order."""
+    key = key_from_seed(405)
+    base = generate_synthetic(key, 10_000, 1, 1.0)
+    rep = replicate_dataset(Dataset(base.x * 1000.0, base.y, true_coef=base.true_coef), 4)
+    t32 = ModelTarget(rep, precision="single")
+    sign = np.sign(rep.true_coef[0])
+    states = np.zeros((3, 3), dtype=np.float32)
+    states[:, 2] = -sign * np.array([1.0, 0.875, 0.75])  # leaning against the data
+    got = t32.log_prob(states)
+    assert got.dtype == np.float64 and np.all(np.abs(got) > 2**24)
+
+    g, half = t32._gamma_const, np.float32(0.5)
+    for z, value in zip(states, got):
+        t_obs = _bernoulli_terms(t32._xs[:, 0] * z[2])
+        t_prior = [g - np.float32(GAMMA_RATE)] * 2 + [t32._normal_const - half * z[2] * z[2]]
+        terms = np.concatenate([t_obs, t_prior]).astype(np.float64)
+        exact = math.fsum(terms)
+        bound = len(terms) * 2.0**-53 * np.abs(terms).sum()
+        assert abs(value - exact) <= bound
+        assert abs(float(terms.astype(np.float32).sum(dtype=np.float32)) - exact) > bound
 
 
 def test_gaussian_target_density_and_ratio():

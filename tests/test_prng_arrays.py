@@ -159,8 +159,7 @@ def test_normal_uniform_each_rows_do_not_depend_on_chain_count(seed, chains, mor
     assert same_bits(uniforms, uniforms_all[:chains])
 
 
-@pytest.mark.parametrize("stable", [False, True])
-def test_one_cipher_call_per_iteration(monkeypatch, stable):
+def test_one_cipher_call_per_iteration(monkeypatch):
     """Every chain's momentum and accept uniform come from one read of the
     draw stream per hmc_step, whatever the number of chains; the jitter's
     randint is the step's only other draw-stream read."""
@@ -175,7 +174,7 @@ def test_one_cipher_call_per_iteration(monkeypatch, stable):
     monkeypatch.setattr(prng, "_stream", counting_stream)
     k_data, k_rest = split(key_from_seed(9), 2)
     target = ModelTarget(generate_synthetic(k_data, 40, 3, 0.5))
-    cfg = HmcConfig(step_size=0.1, num_leapfrog_steps=3, stable_ratio=stable)
+    cfg = HmcConfig(step_size=0.1, num_leapfrog_steps=3)
     for chains in (1, 17):
         z = 0.3 * np.asarray(normal(k_rest, [chains, target.dim]))
         batch = ChainBatch.init(target, z)

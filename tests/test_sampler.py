@@ -6,7 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
-from manychain.prng import key_from_seed, normal, split
+from manychain.prng import key_from_seed, normal, normal_uniform_each, split
 from manychain.sampler import (
     ChainBatch,
     HmcConfig,
@@ -239,22 +239,23 @@ def test_accepted_step_keeps_cache_consistent():
     check_cache(new_batch, target)
 
 
-def test_stable_ratio_matches_energy_difference_in_double():
+def test_accept_ratio_matches_the_energy_difference_in_double():
+    """hmc_step's log accept ratio against the energy difference rebuilt
+    through the public API: the step's momenta, leapfrog_step and log_prob."""
     target, key = small_model(seed=68)
     z0 = 0.4 * np.asarray(normal(key, [8, target.dim]))
     step_key, jk = split(key, 2)
-    base = dict(step_size=0.03, num_leapfrog_steps=6, jitter=False)
+    cfg = HmcConfig(step_size=0.03, num_leapfrog_steps=6, jitter=False)
 
     batch = ChainBatch.init(target, z0)
-    _, out_naive = hmc_step(target, HmcConfig(**base), batch, step_key, jk)
-    batch = ChainBatch.init(target, z0)
-    _, out_stable = hmc_step(
-        target, HmcConfig(**base, stable_ratio=True), batch, step_key, jk
-    )
-    np.testing.assert_allclose(
-        out_stable.log_accept_ratio, out_naive.log_accept_ratio, rtol=0, atol=1e-9
-    )
-    np.testing.assert_array_equal(out_stable.is_accepted, out_naive.is_accepted)
+    _, out = hmc_step(target, cfg, batch, step_key, jk)
+    m0, u = normal_uniform_each(step_key, 8, target.dim)
+    z1, m1, value1, _ = leapfrog_step(target, 0.03, z0, m0, batch.grad, num_steps=6)
+    h0 = 0.5 * (m0 * m0).sum(axis=1) - target.log_prob(z0)
+    h1 = 0.5 * (m1 * m1).sum(axis=1) - value1
+    np.testing.assert_array_equal(out.proposal, z1)
+    np.testing.assert_allclose(out.log_accept_ratio, h0 - h1, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(out.is_accepted, np.log(u) < h0 - h1)
 
 
 def test_lockstep_violation_is_raised():
@@ -361,12 +362,11 @@ def test_run_chains_traces_and_determinism():
     steps=st.integers(8, 40),
     model=st.sampled_from(["gaussian", "regression"]),
     precision=st.sampled_from(["single", "double"]),
-    stable=st.booleans(),
     step_size=st.floats(0.02, 0.3),
     seed=st.integers(0, 2**32),
 )
 @settings(max_examples=25, deadline=None)
-def test_sinks_agree_on_shared_statistics(chains, steps, model, precision, stable, step_size, seed):
+def test_sinks_agree_on_shared_statistics(chains, steps, model, precision, step_size, seed):
     key = key_from_seed(seed)
     if model == "gaussian":
         target = GaussianTarget(3, precision=precision)
@@ -375,7 +375,7 @@ def test_sinks_agree_on_shared_statistics(chains, steps, model, precision, stabl
         target = ModelTarget(generate_synthetic(k_data, 60, 3, 0.5), precision=precision)
     k_init, k_run = split(key, 2)
     z0 = 0.4 * np.asarray(normal(k_init, [chains, target.dim]))
-    cfg = HmcConfig(step_size=step_size, num_leapfrog_steps=4, stable_ratio=stable)
+    cfg = HmcConfig(step_size=step_size, num_leapfrog_steps=4)
 
     trace, moments = TraceSink(), MomentsSink()
     run_chains(target, cfg, z0.copy(), k_run, steps, sink=trace)

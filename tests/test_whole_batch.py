@@ -54,13 +54,16 @@ class RowMajorTarget(ModelTarget):
     """The per-observation pipeline the (N, b) panels replaced, kept as the
     reference they are held to: each block's (b, N) margins coefs[rows] @
     xs.T, its Bernoulli terms written row by row, and its residual product
-    residuals @ xs into the block's rows of a (C, D) gradient. One thread."""
+    residuals @ xs into the block's rows of a (C, D) gradient. One thread.
+    The block's terms are then summed as the panels sum theirs: column sums
+    of a contiguous float64 (N, b) copy, ones @ terms."""
 
-    def _evaluate(self, zb, terms, grad):
-        c, d, p = len(zb), self.num_features, self.dim
+    def _evaluate(self, zb, value, grad):
+        c, d = len(zb), self.num_features
         u, beta = zb[:, : 1 + d], zb[:, 1 + d :]
         a, r = self.dtype(model.GAMMA_SHAPE), self.dtype(model.GAMMA_RATE)
-        t = np.empty((c, p + len(self._xs)), dtype=self.dtype) if terms else None
+        t = np.empty((c, len(self._xs)), dtype=self.dtype) if value else None
+        total = np.empty(c) if value else None
         g = np.empty((c, d), dtype=self.dtype) if grad else None
         with np.errstate(over="ignore", invalid="ignore"):
             scale = np.exp(u[:, :1] + u[:, 1:])
@@ -68,13 +71,18 @@ class RowMajorTarget(ModelTarget):
             exp_u = np.exp(u)
             for rows in model._blocks(c, self.block_rows):
                 margins = coefs[rows] @ self._xs_t
-                if terms:
-                    _bernoulli_terms(margins, out=t[rows, p:])
+                if value:
+                    _bernoulli_terms(margins, out=t[rows])
+                    panel = np.ascontiguousarray(t[rows].T, dtype=np.float64)
+                    np.matmul(np.ones(len(self._xs)), panel, out=total[rows])
                 if grad:
                     np.matmul(_sign_residuals(margins), self._xs, out=g[rows])
-            if terms:
-                t[:, : 1 + d] = self._gamma_const + a * u - r * exp_u
-                t[:, 1 + d : p] = self._normal_const - self.dtype(0.5) * beta * beta
+            if value:
+                prior = np.concatenate([self._gamma_const + a * u - r * exp_u,
+                                        self._normal_const - self.dtype(0.5) * beta * beta],
+                                       axis=1).sum(axis=1, dtype=np.float64)
+                total += prior
+                total[~np.isfinite(prior)] = -np.inf
             if grad:
                 coefs_g = coefs * g
                 out = np.empty_like(zb)
@@ -83,7 +91,7 @@ class RowMajorTarget(ModelTarget):
                 out[:, 1 : 1 + d] += coefs_g
                 out[:, 1 + d :] = -beta + scale * g
                 g = out
-        return t, g
+        return total, g
 
 
 # a product edge (block rows, or features in the residual product) of this
@@ -95,8 +103,8 @@ EXACT_EDGES = (0, 5, 6, 7)
 @pytest.mark.parametrize("rows", [200, 1000])
 @pytest.mark.parametrize("features", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 24, 29, 32, 40])
 def test_panels_match_the_row_major_pipeline(rows, features):
-    """In float64, at every C from 1 to 32: log_prob and the terms are
-    bitwise the row-major pipeline's wherever every block has 0, 5, 6 or 7
+    """In float64, at every C from 1 to 32: log_prob is bitwise the
+    row-major pipeline's wherever every block has 0, 5, 6 or 7
     rows mod 8 (every C = 0 or 5 to 15 mod 16), and so is the gradient
     where the feature count is also 0, 5, 6 or 7 mod 8 (D = 24, the
     benchmark's and criterion 1's, included). Elsewhere they agree to
@@ -107,12 +115,12 @@ def test_panels_match_the_row_major_pipeline(rows, features):
     z_all = 0.3 * np.asarray(normal(k_states, [32, panels.dim]))
     for chains in range(1, 33):
         z = z_all[:chains]
-        want = row_major.value_and_grad(z, terms=True)
-        got = panels.value_and_grad(z, terms=True)
+        want = row_major.value_and_grad(z)
+        got = panels.value_and_grad(z)
         got_grad = panels.grad(z)
         exact = (chains % panels.block_rows) % 8 in EXACT_EDGES
         exact_grad = exact and features % 8 in EXACT_EDGES
-        for w, g, bitwise in zip(want, got, (exact, exact_grad, exact)):
+        for w, g, bitwise in zip(want, got, (exact, exact_grad)):
             if bitwise:
                 assert same_bits(w, g), chains
             else:
@@ -127,8 +135,8 @@ def test_batch_is_bitwise_its_blocks(precision, chains):
     target = regression_target(precision)
     z = 0.3 * np.asarray(normal(key_from_seed(chains), [chains, target.dim]))
     rows = target.block_rows
-    whole = target.value_and_grad(z, terms=True)
-    blocks = blockwise(lambda zb: target.value_and_grad(zb, terms=True), z, rows)
+    whole = target.value_and_grad(z)
+    blocks = blockwise(target.value_and_grad, z, rows)
     for w, b in zip(whole, blocks):
         assert same_bits(w, b)
     assert same_bits(target.grad(z), blockwise(target.grad, z, rows))
@@ -145,12 +153,25 @@ def test_rows_are_their_blocks_at_every_chain_count(precision):
     z_all = 0.3 * np.asarray(normal(key_from_seed(40), [40, one.dim]))
     for chains in range(1, 41):
         z = z_all[:chains]
-        want = blockwise(lambda zb: one.value_and_grad(zb, terms=True), z, rows)
+        want = blockwise(one.value_and_grad, z, rows)
         want_grad = blockwise(one.grad, z, rows)
         for target in (one, two):
-            for w, g in zip(want, target.value_and_grad(z, terms=True)):
+            for w, g in zip(want, target.value_and_grad(z)):
                 assert same_bits(w, g), (chains, target.threads)
             assert same_bits(want_grad, target.grad(z)), (chains, target.threads)
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chains", [1, 17, 40])
+def test_log_prob_is_the_value_of_value_and_grad(precision, threads, chains):
+    """log_prob's float64 totals are bitwise value_and_grad's, with short
+    last blocks (17 and 40 chains in both precisions) and at two threads."""
+    target = regression_target(precision, threads)
+    z = 0.3 * np.asarray(normal(key_from_seed(chains + 100), [chains, target.dim]))
+    value = target.log_prob(z)
+    assert value.dtype == np.float64
+    assert same_bits(value, target.value_and_grad(z)[0])
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
@@ -159,7 +180,7 @@ def test_rows_are_their_blocks_at_every_chain_count(precision):
 def test_threads_give_the_one_thread_bits(precision, threads, chains):
     one, many = regression_target(precision), regression_target(precision, threads)
     z = 0.3 * np.asarray(normal(key_from_seed(chains), [chains, one.dim]))
-    for w, t in zip(one.value_and_grad(z, terms=True), many.value_and_grad(z, terms=True)):
+    for w, t in zip(one.value_and_grad(z), many.value_and_grad(z)):
         assert same_bits(w, t)
     assert same_bits(one.grad(z), many.grad(z))
 
@@ -175,7 +196,7 @@ def test_concurrent_callers_get_the_one_thread_bits(precision, threads):
     start = threading.Barrier(len(zs))
 
     def evaluate(target, z):
-        return target.grad(z), *target.value_and_grad(z, terms=True)
+        return target.grad(z), *target.value_and_grad(z)
 
     def hammer(z):
         start.wait(timeout=60)
@@ -211,7 +232,7 @@ def test_warm_evaluations_allocate_no_panels(precision, threads):
     target = wide_target(precision, threads)
     panel = len(target._xs) * target.block_rows * target._xs.itemsize
     z = 0.3 * np.asarray(normal(key_from_seed(7), [64, target.dim]))
-    for evaluate in (target.grad, functools.partial(target.value_and_grad, terms=True)):
+    for evaluate in (target.grad, target.value_and_grad):
         evaluate(z)  # every evaluating thread allocates its scratch once
         tracemalloc.start()
         try:
@@ -235,23 +256,22 @@ def test_pool_workers_raise_no_warnings(precision):
     z[1::2, 1 + one.num_features :] = 1e3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = two.value_and_grad(z, terms=True) + (two.grad(z),)
-    want = one.value_and_grad(z, terms=True) + (one.grad(z),)
+        got = two.value_and_grad(z) + (two.grad(z),)
+    want = one.value_and_grad(z) + (one.grad(z),)
     for w, g in zip(want, got):
         assert same_bits(w, g)
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
 @pytest.mark.parametrize("chains", [16, 20, 32, 48, 64])
-def test_check_cache_holds_after_a_stable_ratio_run(precision, chains):
+def test_check_cache_holds_after_a_run(precision, chains):
     """The cache a run fills range by range equals a whole-batch
     recomputation, bit for bit, at any chain count."""
     target = regression_target(precision)
     k_init, k_run = split(key_from_seed(chains), 2)
     z0 = 0.3 * np.asarray(normal(k_init, [chains, target.dim]))
-    cfg = HmcConfig(step_size=0.01, num_leapfrog_steps=3, stable_ratio=True)
+    cfg = HmcConfig(step_size=0.01, num_leapfrog_steps=3)
     summary = run_chains(target, cfg, z0, k_run, 3)
-    assert summary.final_batch.terms is not None
     check_cache(summary.final_batch, target)
 
 

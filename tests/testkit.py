@@ -64,9 +64,8 @@ def read_bench_csv(path):
 
 
 def check_cache(batch, target):
-    """Recompute value/grad (and terms, when cached) at the batch's states
-    and compare them exactly with its cache."""
-    fresh = target.value_and_grad(batch.z, terms=True)
-    cached = (batch.value, batch.grad, batch.terms)
-    if not all(np.array_equal(f, c) for f, c in zip(fresh, cached) if c is not None):
-        raise AssertionError("cached value/grad/terms out of sync with states")
+    """Recompute value/grad at the batch's states and compare them exactly
+    with its cache."""
+    fresh = target.value_and_grad(batch.z)
+    if not all(np.array_equal(f, c) for f, c in zip(fresh, (batch.value, batch.grad))):
+        raise AssertionError("cached value/grad out of sync with states")
