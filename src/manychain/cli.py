@@ -13,8 +13,8 @@ with the same seed and flags produce byte-identical outputs at any --threads,
 which spreads the regression likelihood's row blocks over that many workers.
 
 Every command samples through the sampler's one transition (hmc_step) and,
-for multi-iteration runs, its one loop (run_chains); precision-demo drives
-hmc_step directly with the run key's per-iteration schedule (iteration_keys).
+for multi-iteration runs, its one loop (run_chains); precision-demo runs
+run_chains with a sink (_DemoSink) that forms its comparison ratios.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage, input or output
 errors, such as an output path that cannot be written, and memory exhaustion.
@@ -49,8 +49,6 @@ from .sampler import (
     HmcConfig,
     MomentsSink,
     TraceSink,
-    hmc_step,
-    iteration_keys,
     run_chains,
     warmup_adapt,
 )
@@ -177,7 +175,7 @@ def cmd_sample(args) -> int:
             f"warmup accept(harmonic)={info.final_harmonic_accept:.3f}"
         )
     else:
-        start = run_chains(target, config, z0, warmup_key, args.warmup, sink=None).final_batch
+        start = run_chains(target, config, z0, warmup_key, args.warmup).final_batch
         warm_note = f"warmup: {args.warmup} discarded iterations, no adaptation"
 
     sink = TraceSink() if args.retention == "full" else MomentsSink()
@@ -234,7 +232,6 @@ def cmd_bench_chains(args) -> int:
     config = HmcConfig(
         step_size=args.step_size,
         num_leapfrog_steps=args.leapfrog_steps,
-        jitter=True,
     )
     # only a regression target spreads its evaluation over --threads
     threads = target.threads if isinstance(target, ModelTarget) else 1
@@ -246,9 +243,9 @@ def cmd_bench_chains(args) -> int:
         try:
             z0 = initial_states(init_key, c, target.dim)
             # one discarded warm-start iteration, then the timed run
-            warm = run_chains(target, config, z0, warm_key, 1, sink=None)
+            warm = run_chains(target, config, z0, warm_key, 1)
             summary = run_chains(target, config, warm.final_batch, timed_key,
-                                 args.draws_per_chain, sink=None)
+                                 args.draws_per_chain)
             row = {
                 "chains": c,
                 "wall_seconds": summary.wall_seconds,
@@ -337,43 +334,48 @@ def _demo_mass(target: ModelTarget) -> np.ndarray:
     return mass
 
 
-def _double_oracle(t32, t64, out, z) -> np.ndarray:
-    """Float64 oracle of a float32 step from states z: its log accept ratio
-    with the density part, the float32 model's float64 log_prob_ratio,
-    redone on the float64 model; -inf where that ratio is not finite (a
-    diverged proposal)."""
-    r = out.log_accept_ratio
-    ok = np.isfinite(r)
-    # a finite ratio implies a finite proposal; diverged rows are redone at z
-    z1 = np.where(ok[:, None], out.proposal, z)
-    redone = (r - t32.log_prob_ratio(z1, z)
-              + t64.log_prob_ratio(z1.astype(np.float64), z.astype(np.float64)))
-    return np.where(ok, redone, -np.inf)
+class _DemoSink:
+    """run_chains sink for precision-demo's float32 chains, started from
+    batch. Each step it keeps the sampler's ratio (stable), the naive
+    float32 ratio of the same proposal (the float32 difference of two
+    float32 energies, each minus joint_log_prob plus the log-det-Jacobian)
+    and the float64 oracle (the ratio with its density part redone on t64),
+    both -inf where the step's ratio is not finite (a diverged proposal).
+    It tracks the states z with their values on each model, so each state
+    is evaluated once per model: a row's bits depend only on its position
+    in the batch, so a tracked value is bitwise a fresh log_prob."""
 
+    def __init__(self, t32, t64, batch: ChainBatch):
+        self.t32, self.t64 = t32, t64
+        self.z, self.value, self.value64 = batch.z, batch.value, t64.log_prob(batch.z)
+        self.naive, self.stable, self.oracle = [], [], []
 
-def _naive_ratio(t32, out, z, value) -> np.ndarray:
-    """The textbook float32 log accept ratio of a float32 step from states
-    z, whose float64 log densities are value: the float32 difference of two
-    float32 energies, each minus a log density accumulated in float32
-    (joint_log_prob plus the log-det-Jacobian). Energies count kinetic
-    energy from the start's, so the proposal's kinetic part is the change
-    the step's own ratio implies. -inf where that ratio is not finite."""
-    r = out.log_accept_ratio
-    ok = np.isfinite(r)
-    z1 = np.where(ok[:, None], out.proposal, z)
-    params, ldj = constrain(np.concatenate([z, z1]))
-    total = joint_log_prob(t32, params) + ldj.astype(np.float32)
-    start, end = np.split(total, 2)
-    # r = kinetic drop + (v1 - v0), the values float64
-    kinetic_gain = ((t32.log_prob(z1) - value) - r).astype(np.float32)
-    return np.where(ok, -start - (kinetic_gain - end), -np.inf)
+    def record(self, out):
+        r = out.log_accept_ratio
+        ok = np.isfinite(r)
+        # a finite ratio implies a finite proposal; diverged rows are redone at z
+        z1 = np.where(ok[:, None], out.proposal, self.z)
+        value1, value64_1 = self.t32.log_prob(z1), self.t64.log_prob(z1)
+        # r = kinetic drop + (value1 - value), the values float64
+        kinetic_gain = (value1 - self.value) - r
+        # naive energies count kinetic energy from the start's
+        params, ldj = constrain(np.concatenate([self.z, z1]))
+        total = joint_log_prob(self.t32, params) + ldj.astype(np.float32)
+        start, end = np.split(total, 2)
+        naive = -start - (kinetic_gain.astype(np.float32) - end)
+        self.naive.append(np.where(ok, naive, -np.inf))
+        self.stable.append(r)
+        self.oracle.append(np.where(ok, (value64_1 - self.value64) - kinetic_gain, -np.inf))
+        accepted = out.is_accepted
+        self.z = out.z
+        self.value = np.where(accepted, value1, self.value)
+        self.value64 = np.where(accepted, value64_1, self.value64)
 
 
 def cmd_precision_demo(args) -> int:
-    """Float32 chains advanced by the sampler's transition, whose accept
-    ratio differences float64 totals. Every iteration also forms the naive
-    float32 ratio of the same proposal (_naive_ratio) and the float64
-    oracle (_double_oracle)."""
+    """Float32 chains run by the sampler's loop, whose accept ratio
+    differences float64 totals. Every iteration _DemoSink also forms the
+    naive float32 ratio of the same proposal and the float64 oracle."""
     data_key, _, _, run_key = _expand_seed(args.seed)
     if args.steps < 1 or args.chains < 1 or args.leapfrog_steps < 1:
         raise UsageError("--steps, --chains and --leapfrog-steps must be positive")
@@ -408,16 +410,11 @@ def cmd_precision_demo(args) -> int:
     config = replace(config, mass_diag=_demo_mass(t64))
     c = args.chains
     batch = ChainBatch.init(t32, np.tile(z0, (c, 1)))
-    naive, stable, oracle = [], [], []
     with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
-        for step_key, jitter_key in iteration_keys(run_key, args.steps):
-            z, value = batch.z, batch.value
-            batch, out = hmc_step(t32, config, batch, step_key, jitter_key)
-            naive.append(_naive_ratio(t32, out, z, value))
-            stable.append(out.log_accept_ratio)
-            oracle.append(_double_oracle(t32, t64, out, z))
+        demo = _DemoSink(t32, t64, batch)
+        run_chains(t32, config, batch, run_key, args.steps, sink=demo)
 
-    naive, stable, oracle = map(np.stack, (naive, stable, oracle))
+    naive, stable, oracle = map(np.stack, (demo.naive, demo.stable, demo.oracle))
     finite = np.isfinite(oracle) & np.isfinite(naive) & np.isfinite(stable)
     if not finite.any():
         raise UsageError("every proposal diverged: no transition has finite naive, stable "

@@ -14,7 +14,7 @@ sampler itself used; diagnostics are too cheap to be worth corrupting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -236,15 +236,7 @@ class DiagnosticsReport:
     roundoff_flag_fraction: float
 
     def to_dict(self) -> dict:
-        return {
-            "rhat": [float(v) for v in self.rhat],
-            "ess": None if self.ess is None else [float(v) for v in self.ess],
-            "ess_tau": None if self.ess_tau is None else float(self.ess_tau),
-            "esjd": float(self.esjd),
-            "chees": float(self.chees),
-            "mean_accept_harmonic": float(self.mean_accept_harmonic),
-            "roundoff_flag_fraction": float(self.roundoff_flag_fraction),
-        }
+        return asdict(self)
 
 
 def accept_probs_from_ratios(log_accept_ratios) -> np.ndarray:

@@ -9,9 +9,9 @@ lockstep execution shape (and quietly serialize a vectorized batch), so
 hmc_step hard-fails if it is handed per-chain lengths that disagree.
 
 One transition, one loop: hmc_step is the only HMC transition and
-run_chains the only iteration loop. The sampling pass and the three warmup
-phases (each one run_chains call with a private sink) go through both;
-precision-demo drives hmc_step with the same key schedule.
+run_chains the only iteration loop. The sampling pass, the three warmup
+phases and precision-demo go through both, each a run_chains call with a
+sink of its own.
 
 Randomness per iteration comes from one schedule, iteration_keys: the run's
 root key splits into a step root and a jitter root, and iteration t takes

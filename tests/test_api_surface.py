@@ -1,6 +1,7 @@
 """The package keeps only what runs: every public function, class and method
 defined in src/manychain is referenced elsewhere in src/, exported by
-manychain/__init__.py, or named in perfbench/. Helpers only tests use live
+manychain/__init__.py, or named in perfbench/, and every private module-level
+function or class is named somewhere in src/. Helpers only tests use live
 in tests/testkit.py instead.
 
 A reference is any name, attribute or imported name in the source, so a
@@ -61,3 +62,16 @@ def test_every_public_definition_has_a_caller_an_export_or_a_benchmark_use():
         if name not in used | exported | bench
     ]
     assert not unused, f"public definitions nothing runs: {unused}"
+
+
+def test_every_private_definition_is_named_in_src():
+    modules = {p: _tree(p) for p in sorted(PACKAGE.glob("*.py"))}
+    named = set().union(*(_names(t) for t in modules.values()))
+    unnamed = [
+        f"{path.name}:{node.name}"
+        for path, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and node.name not in named
+    ]
+    assert not unnamed, f"private definitions nothing in src/ names: {unnamed}"

@@ -294,16 +294,14 @@ def test_precision_demo_some_proposals_diverged(tmp_path, monkeypatch):
     of 40: their float32 trajectories overflow; a float64 total of float32
     terms does not); the demo reports over the finite ones and leaks no
     warning."""
-    import manychain.cli as cli
+    sinks = []
 
-    oracles = []
-    oracle = cli._double_oracle
+    class RecordingSink(cli._DemoSink):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sinks.append(self)
 
-    def recording_oracle(*args):
-        oracles.append(oracle(*args))
-        return oracles[-1]
-
-    monkeypatch.setattr(cli, "_double_oracle", recording_oracle)
+    monkeypatch.setattr(cli, "_DemoSink", RecordingSink)
     out = tmp_path / "demo.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -311,7 +309,8 @@ def test_precision_demo_some_proposals_diverged(tmp_path, monkeypatch):
                    "--replication", "1", "--step-size", "30.4", "--steps", "10",
                    "--chains", "4", "--leapfrog-steps", "8", "--output", str(out)])
     assert rc == 0
-    diverged = np.isneginf(np.stack(oracles))
+    (demo,) = sinks
+    diverged = np.isneginf(np.stack(demo.oracle))
     assert diverged.size == 40 and 0 < diverged.sum() < 40
     result = json.loads(out.read_text())
     assert np.isfinite(result["max_abs_err_naive"])

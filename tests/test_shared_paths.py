@@ -1,11 +1,13 @@
 """The shared iteration loop and transition, pinned against the code they
 replaced: warmup_adapt against its former three-phase loop with its own key
 schedule, StepOutput.proposal against the accept select, the rejection of
-non-finite proposals against the proposal scan hmc_step once ran, and the
-precision demo's float64 oracle against a fully independent one."""
+non-finite proposals against the proposal scan hmc_step once ran, the
+precision demo's float64 oracle against a fully independent one, and the
+demo's sink, which evaluates each state once per model."""
 
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,6 +30,8 @@ from manychain.sampler import (
     warmup_adapt,
 )
 from testkit import check_cache
+
+SMALL_CSV = str(Path(__file__).parent / "data" / "small.csv")
 
 
 def small_model(seed, precision, rows=80, features=4, threads=1):
@@ -218,8 +222,10 @@ def test_demo_oracle_is_minus_inf_where_the_proposal_overflowed():
     step_key, jitter_key = next(iteration_keys(k_run, 1))
     with np.errstate(all="ignore"):
         batch = ChainBatch.init(t32, z)
+        demo = cli._DemoSink(t32, t64, batch)
         _, out = hmc_step(t32, config, batch, step_key, jitter_key)
-        got = cli._double_oracle(t32, t64, out, batch.z)
+        demo.record(out)
+    (got,) = demo.oracle
     assert np.array_equal(np.all(np.isfinite(out.proposal), axis=1), [True, False, False, True])
     assert np.array_equal(np.isneginf(got), [False, True, True, False])
     ratio = out.log_accept_ratio
@@ -234,25 +240,20 @@ def test_demo_oracle_matches_an_independent_double_oracle(monkeypatch, tmp_path)
     where the float32 model's ratio itself is off by about 2e-3: its terms
     carry float32 rounding, which the float64 sum keeps."""
     leapfrogs, oracles, naives = [], [], []
-    leapfrog, oracle, naive_ratio = sampler._leapfrog, cli._double_oracle, cli._naive_ratio
+    leapfrog, record = sampler._leapfrog, cli._DemoSink.record
 
     def recording_leapfrog(tgt, eps, num_steps, z, m, grad, inv_mass):
         out = leapfrog(tgt, eps, num_steps, z, m, grad, inv_mass)
         leapfrogs.append((z, m, out[0], out[1]))
         return out
 
-    def recording_oracle(t32, t64, out, z):
-        got = oracle(t32, t64, out, z)
-        oracles.append((t64, out, got))
-        return got
-
-    def recording_naive(*args):
-        naives.append(naive_ratio(*args))
-        return naives[-1]
+    def recording_record(demo, out):
+        record(demo, out)
+        oracles.append((demo.t64, out, demo.oracle[-1]))
+        naives.append(demo.naive[-1])
 
     monkeypatch.setattr(sampler, "_leapfrog", recording_leapfrog)
-    monkeypatch.setattr(cli, "_double_oracle", recording_oracle)
-    monkeypatch.setattr(cli, "_naive_ratio", recording_naive)
+    monkeypatch.setattr(cli._DemoSink, "record", recording_record)
     rc = cli.main(["precision-demo", "--base-rows", "20000", "--replication", "20",
                    "--steps", "8", "--output", str(tmp_path / "demo.json")])
     assert rc == 0
@@ -275,3 +276,47 @@ def test_demo_oracle_matches_an_independent_double_oracle(monkeypatch, tmp_path)
     assert worst <= 1e-4
     assert ratio_worst > 1e-3  # so an oracle that skipped the redo would fail
     assert naive_worst > 0.1  # the naive ratio keeps the float32 totals' rounding
+
+
+@pytest.mark.parametrize("argv, some_accept", [
+    (["--step-size", "2", "--chains", "3", "--leapfrog-steps", "3"], True),
+    # every proposal rejects and some diverge
+    (["--step-size", "30.4", "--chains", "4", "--leapfrog-steps", "8"], False),
+])
+def test_demo_sink_evaluates_each_state_once_per_model(monkeypatch, argv, some_accept):
+    """Each demo iteration adds one float32 and one float64 full-data
+    evaluation to hmc_step's L (L - 1 gradients and the endpoint), and the
+    values the sink tracks stay bitwise fresh log_prob evaluations of its
+    current states."""
+    counts = {"single": 0, "double": 0}
+    evaluate = ModelTarget._evaluate
+
+    def counted(target, zb, value, grad):
+        counts[target.precision] += 1
+        return evaluate(target, zb, value, grad)
+
+    spent, accepted = [], []
+
+    class CheckedSink(cli._DemoSink):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.seen = dict(counts)
+
+        def record(self, out):
+            super().record(out)
+            spent.append((counts["single"] - self.seen["single"],
+                          counts["double"] - self.seen["double"]))
+            accepted.append(out.is_accepted)
+            assert same_bits(self.value, self.t32.log_prob(self.z))
+            assert same_bits(self.value64, self.t64.log_prob(self.z))
+            self.seen = dict(counts)
+
+    monkeypatch.setattr(ModelTarget, "_evaluate", counted)
+    monkeypatch.setattr(cli, "_DemoSink", CheckedSink)
+    rc = cli.main(["precision-demo", "--model", f"german-credit:{SMALL_CSV}",
+                   "--replication", "1", "--steps", "10", *argv])
+    assert rc == 0
+    leapfrog_steps = int(argv[-1])
+    assert spent == [(leapfrog_steps + 1, 1)] * 10
+    accepted = np.stack(accepted)
+    assert accepted.any() == some_accept and not accepted.all()
