@@ -26,11 +26,11 @@ xs @ coefs.T, from a (D, C) copy of the coefficients taken once per
 evaluation, and the residual product xs.T @ residuals writes the block's
 columns of a (D, C) gradient.
 
-The base class Target checks states (dtype cast, finiteness, shape, width)
-and writes log_prob, grad, value_and_grad and log_prob_ratio once; a target
-(ModelTarget, GaussianTarget) supplies dim, param_names() and one hook on a
-checked (C, P) batch: _evaluate(zb, value, grad), the one evaluation, which
-returns the density and the gradient as asked.
+A target (ModelTarget, GaussianTarget) supplies dim, param_names() and one
+hook, evaluate(zb, value, grad): the one evaluation, unchecked, of a finite
+(C, P) batch at the target's dtype. The sampler calls it inside its own
+np.errstate; the base class Target writes the checked API on it once
+(log_prob, grad, value_and_grad, log_prob_ratio) for callers outside the loop.
 
 Every density value is accumulated in float64, at either working precision:
 each term is computed at the working width and summed into a float64 total
@@ -290,7 +290,7 @@ def _blocks(num_rows: int, block_rows: int) -> tuple[slice, ...]:
 def _pool(threads: int) -> ThreadPoolExecutor:
     """The process's threads - 1 helper workers for ModelTarget(threads=...).
     numpy's error state is per thread, so each worker silences overflow and
-    invalid once, as _evaluate does around its own share."""
+    invalid once, as evaluate's caller does on its own thread."""
     return ThreadPoolExecutor(
         threads - 1, initializer=functools.partial(np.seterr, over="ignore", invalid="ignore")
     )
@@ -307,9 +307,9 @@ def _sign_residuals(margins, out=None):
 class Target:
     """A batched log density over an unconstrained state of dim entries.
 
-    The checked API (log_prob, grad, value_and_grad, log_prob_ratio) is
-    written once here. A subclass sets dim and supplies param_names() and
-    one hook on a checked (C, dim) batch, _evaluate.
+    A subclass sets dim and supplies param_names() and the one hook,
+    evaluate. The checked API (log_prob, grad, value_and_grad,
+    log_prob_ratio) is written once here on top of it.
 
     precision selects the arithmetic width of every density and gradient
     evaluation ("double" or "single"); density values are float64 totals
@@ -322,31 +322,37 @@ class Target:
         self.precision = precision
         self.dtype = np.float32 if precision == "single" else np.float64
 
-    def _prepare(self, z):
+    def evaluate(self, zb, value: bool, grad: bool):
+        """(value or None, grad or None), the (C,) float64 log density and
+        the (C, dim) gradient as asked. Unchecked: zb must be a finite (C, dim)
+        array of self.dtype, and the caller silences overflow and invalid."""
+        raise NotImplementedError
+
+    def _checked(self, z, value: bool, grad: bool):
+        """evaluate on a (P,) state or (C, P) batch, cast, scanned for
+        finiteness and checked; a (P,) state's results come back unbatched."""
         z = np.asarray(z, dtype=self.dtype)
         if not np.isfinite(z).all():
             raise ValueError("state contains non-finite entries")
         zb, single = _as_batch(z)
         if zb.shape[1] != self.dim:
             raise ValueError(f"state must have {self.dim} entries, got {zb.shape[1]}")
-        return zb, single
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.evaluate(zb, value, grad)
+        return tuple(None if a is None else a[0] for a in out) if single else out
 
     def log_prob(self, z):
         """Float64 log density of a (P,) state, or of every row of a (C, P)
         batch."""
-        zb, single = self._prepare(z)
-        out = self._evaluate(zb, value=True, grad=False)[0]
-        return out[0] if single else out
+        return self._checked(z, True, False)[0]
 
     def grad(self, z):
         """Gradient of log_prob alone, bitwise equal to value_and_grad(z)[1].
 
         Evaluates no terms (for the regression model, most of the cost of a
-        value), which is why interior leapfrog steps call this.
+        value), as interior leapfrog steps need.
         """
-        zb, single = self._prepare(z)
-        grad = self._evaluate(zb, value=False, grad=True)[1]
-        return grad[0] if single else grad
+        return self._checked(z, False, True)[1]
 
     def value_and_grad(self, z):
         """Log density and its analytic gradient, one shared evaluation.
@@ -354,27 +360,26 @@ class Target:
         The value is computed through exactly the same operations as
         log_prob, so the two agree bit for bit.
         """
-        zb, single = self._prepare(z)
-        out = self._evaluate(zb, value=True, grad=True)
-        return tuple(a[0] for a in out) if single else out
+        return self._checked(z, True, True)
 
     def log_prob_ratio(self, z_new, z_old):
         """log p(z_new) - log p(z_old), the difference of two float64 totals.
 
+        A (P,) state is a one-row batch; two (P,) states give a scalar.
         A dead state (log density -inf) gives -inf as the new state and
         +inf as the old one; two dead states give -inf. The ratio of a state
         with itself is exactly 0.0.
         """
-        zn, single_n = self._prepare(z_new)
-        zo, single_o = self._prepare(z_old)
-        if zn.shape != zo.shape:
-            raise ValueError(f"state shapes differ: {zn.shape} vs {zo.shape}")
-        new = self._evaluate(zn, value=True, grad=False)[0]
-        old = self._evaluate(zo, value=True, grad=False)[0]
+        zn, zo = np.asarray(z_new), np.asarray(z_old)
+        new, old = (self._checked(z[None] if z.ndim == 1 else z, True, False)[0]
+                    for z in (zn, zo))
+        if new.shape != old.shape:
+            shapes = [(len(v), self.dim) for v in (new, old)]
+            raise ValueError(f"state shapes differ: {shapes[0]} vs {shapes[1]}")
         # -inf - -inf between two dead states is masked right below
         with np.errstate(invalid="ignore"):
             ratio = np.where(np.isneginf(new), -np.inf, new - old)
-        return ratio[0] if (single_n and single_o) else ratio
+        return ratio[0] if zn.ndim == zo.ndim == 1 else ratio
 
 
 class ModelTarget(Target):
@@ -432,8 +437,8 @@ class ModelTarget(Target):
         d = self.num_features
         return ["u_tau"] + [f"u_lamb_{j}" for j in range(d)] + [f"beta_{j}" for j in range(d)]
 
-    def _evaluate(self, zb, value: bool, grad: bool):
-        """The one evaluation, returning (value or None, grad or None).
+    def evaluate(self, zb, value: bool, grad: bool):
+        """The one evaluation (see Target.evaluate).
 
         value is the (C,) float64 log density: the prior terms of u_tau,
         u_lamb (D) and beta (D), and the N Bernoulli terms, each at the
@@ -459,54 +464,53 @@ class ModelTarget(Target):
         total = np.empty(c) if value else None
         g_t = np.empty((d, c), dtype=self.dtype) if grad else None
         out = None
-        # overflow to inf is fine: an overflowed scale is dead by prior and
-        # the caller masks the whole state
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.exp(u[:, :1] + u[:, 1:])  # tau * lamb in one exp
-            coefs = scale * beta
-            coefs_t = np.ascontiguousarray(coefs.T)  # (D, C): a block is its columns
-            exp_u = np.exp(u)  # [tau, lamb], shared by the terms and the gradient
+        # overflow to inf is fine, and the caller silences it: an overflowed
+        # scale is dead by prior and the whole state is masked
+        scale = np.exp(u[:, :1] + u[:, 1:])  # tau * lamb in one exp
+        coefs = scale * beta
+        coefs_t = np.ascontiguousarray(coefs.T)  # (D, C): a block is its columns
+        exp_u = np.exp(u)  # [tau, lamb], shared by the terms and the gradient
 
-            def pipeline(blocks):
-                panels = self._panels()
-                for rows in blocks:
-                    margins, work, wide = panels[rows.stop - rows.start]
-                    np.matmul(self._xs, coefs_t[:, rows], out=margins)
-                    if grad:
-                        np.matmul(self._xs_t, _sign_residuals(margins, out=work),
-                                  out=g_t[:, rows])
-                    if value:  # last: it overwrites the margins
-                        _bernoulli_terms(margins, out=work, scratch=work)
-                        if wide is not work:
-                            np.copyto(wide, work)
-                        np.matmul(self._ones, wide, out=total[rows])
+        def pipeline(blocks):
+            panels = self._panels()
+            for rows in blocks:
+                margins, work, wide = panels[rows.stop - rows.start]
+                np.matmul(self._xs, coefs_t[:, rows], out=margins)
+                if grad:
+                    np.matmul(self._xs_t, _sign_residuals(margins, out=work),
+                              out=g_t[:, rows])
+                if value:  # last: it overwrites the margins
+                    _bernoulli_terms(margins, out=work, scratch=work)
+                    if wide is not work:
+                        np.copyto(wide, work)
+                    np.matmul(self._ones, wide, out=total[rows])
 
-            blocks = _blocks(c, self.block_rows)
-            # blocks per group; 1 for an empty batch, so the range step is positive
-            share = -(-len(blocks) // self.threads) or 1
-            jobs = [_pool(self.threads).submit(pipeline, blocks[lo : lo + share])
-                    for lo in range(share, len(blocks), share)]
-            pipeline(blocks[:share])
-            for job in jobs:
-                job.result()
-            if value:
-                prior_terms = np.empty_like(zb)
-                prior_terms[:, : 1 + d] = self._gamma_const + a * u - r * exp_u
-                prior_terms[:, 1 + d :] = self._normal_const - self._half * beta * beta
-                prior = prior_terms.sum(axis=1, dtype=np.float64)
-                total += prior
-                # a scale that overflowed exp() is dead by prior; never report NaN
-                total[~np.isfinite(prior)] = -np.inf
-            if grad:
-                g = g_t.T
-                coefs_g = np.multiply(coefs, g, out=coefs)
-                out = np.empty_like(zb)
-                head, tail = out[:, : 1 + d], out[:, 1 + d :]
-                np.subtract(a, np.multiply(r, exp_u, out=head), out=head)
-                out[:, 0] += coefs_g.sum(axis=1)
-                out[:, 1 : 1 + d] += coefs_g
-                np.multiply(scale, g, out=tail)
-                tail -= beta
+        blocks = _blocks(c, self.block_rows)
+        # blocks per group; 1 for an empty batch, so the range step is positive
+        share = -(-len(blocks) // self.threads) or 1
+        jobs = [_pool(self.threads).submit(pipeline, blocks[lo : lo + share])
+                for lo in range(share, len(blocks), share)]
+        pipeline(blocks[:share])
+        for job in jobs:
+            job.result()
+        if value:
+            prior_terms = np.empty_like(zb)
+            prior_terms[:, : 1 + d] = self._gamma_const + a * u - r * exp_u
+            prior_terms[:, 1 + d :] = self._normal_const - self._half * beta * beta
+            prior = prior_terms.sum(axis=1, dtype=np.float64)
+            total += prior
+            # a scale that overflowed exp() is dead by prior; never report NaN
+            total[~np.isfinite(prior)] = -np.inf
+        if grad:
+            g = g_t.T
+            coefs_g = np.multiply(coefs, g, out=coefs)
+            out = np.empty_like(zb)
+            head, tail = out[:, : 1 + d], out[:, 1 + d :]
+            np.subtract(a, np.multiply(r, exp_u, out=head), out=head)
+            out[:, 0] += coefs_g.sum(axis=1)
+            out[:, 1 : 1 + d] += coefs_g
+            np.multiply(scale, g, out=tail)
+            tail -= beta
         return total, out
 
 
@@ -550,7 +554,7 @@ class GaussianTarget(Target):
     def param_names(self) -> list[str]:
         return [f"z{j}" for j in range(self.dim)]
 
-    def _evaluate(self, zb, value: bool, grad: bool):
+    def evaluate(self, zb, value: bool, grad: bool):
         total = (self._const + (self.dtype(-0.5) * zb * zb).sum(axis=1, dtype=np.float64)
                  if value else None)
         return total, -zb if grad else None

@@ -28,6 +28,11 @@ the other rows' values, and every cross-chain reduction happens in a fixed
 order. Parallel work, where a target has any, lives in its batch
 evaluation (ModelTarget's threads), which keeps each row's bits.
 
+The loop evaluates only through the target's unchecked hook,
+target.evaluate: hmc_step checks the batch's dtype and width once per
+iteration, _eval scans each state once for finiteness, and one np.errstate
+covers a trajectory. The checked API is for callers outside the loop.
+
 Interior leapfrog steps evaluate only the gradient; the density value is
 evaluated once per trajectory, at its endpoint. The log accept ratio is the
 difference of two float64 energies, kinetic energy minus the target's
@@ -137,18 +142,14 @@ def leapfrog_step(target, step_size, z, m, grad, mass_diag=None, num_steps=1):
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
     dtype = target.dtype
-    z = np.asarray(z, dtype=dtype)
-    m = np.asarray(m, dtype=dtype)
-    grad = np.asarray(grad, dtype=dtype)
+    z, m, grad = (np.asarray(a, dtype=dtype) for a in (z, m, grad))
     single = z.ndim == 1
     if single:
         z, m, grad = z[None, :], m[None, :], grad[None, :]
-    eps = dtype(step_size)
-    if mass_diag is not None:
-        inv_mass = (1.0 / np.asarray(mass_diag)).astype(dtype)
-    else:
-        inv_mass = None
-    out = _leapfrog(target, eps, num_steps, z, m, grad, inv_mass)
+    if z.shape[1] != target.dim:
+        raise ValueError(f"state must have {target.dim} entries, got {z.shape[1]}")
+    inv_mass = None if mass_diag is None else (1.0 / np.asarray(mass_diag)).astype(dtype)
+    out = _leapfrog(target, dtype(step_size), num_steps, z, m, grad, inv_mass)
     return tuple(a[0] for a in out) if single else out
 
 
@@ -161,30 +162,22 @@ def _leapfrog(target, eps, num_steps, z, m, grad, inv_mass):
         for step in range(num_steps, 0, -1):
             m = m + half * grad
             z = z + eps * (m if inv_mass is None else m * inv_mass)
-            if step > 1:
-                grad = _eval(target.grad, z)
-            else:
-                value, grad = _eval(target.value_and_grad, z)
+            value, grad = _eval(target, z, value=step == 1)
             m = m + half * grad
     return z, m, value, grad
 
 
-def _eval(evaluate, z):
-    """evaluate(z) that tolerates non-finite states mid-trajectory: a dead
-    row is evaluated at the origin instead and comes back with value -inf
-    and every other output NaN. A finite batch costs one whole-array scan
-    here; only a batch that fails it is scanned row by row."""
+def _eval(target, z, value):
+    """target.evaluate(z, value, True) that tolerates non-finite states
+    mid-trajectory: a dead row is evaluated at the origin instead and comes
+    back with value -inf and gradient NaN. A finite batch costs this one
+    whole-array scan; only a batch that fails it is scanned row by row."""
     if np.isfinite(z).all():
-        return evaluate(z)
+        return target.evaluate(z, value, True)
     dead = ~np.isfinite(z).all(axis=1)
-    out = evaluate(np.where(dead[:, None], z.dtype.type(0.0), z))
-
-    def mask(a):
-        if a.ndim == 1:
-            return np.where(dead, z.dtype.type(-np.inf), a)
-        return np.where(dead[:, None], z.dtype.type(np.nan), a)
-
-    return mask(out) if isinstance(out, np.ndarray) else tuple(map(mask, out))
+    value, grad = target.evaluate(np.where(dead[:, None], z.dtype.type(0.0), z), value, True)
+    value = None if value is None else np.where(dead, z.dtype.type(-np.inf), value)
+    return value, np.where(dead[:, None], z.dtype.type(np.nan), grad)
 
 
 def draw_trajectory_length(jitter_key: RandomKey, base_steps: int, jitter: bool) -> int:
@@ -217,6 +210,9 @@ def hmc_step(
     """
     c, p = batch.z.shape
     dtype = target.dtype
+    if batch.z.dtype != dtype or p != target.dim:
+        raise ValueError(f"batch states must be (C, {target.dim}) {np.dtype(dtype)}, "
+                         f"got {batch.z.shape} {batch.z.dtype}")
 
     if length_fn is None:
         num_steps = draw_trajectory_length(jitter_key, config.num_leapfrog_steps, config.jitter)
@@ -239,8 +235,6 @@ def hmc_step(
     sqrt_mass = None if mass is None else np.sqrt(mass).astype(dtype)
 
     normals, u = normal_uniform_each(step_key, c, p)
-    with np.errstate(divide="ignore"):
-        log_u = np.log(u)  # -inf for a zero uniform, which accepts any finite ratio
     m0 = normals.astype(dtype, copy=False)
     if sqrt_mass is not None:
         m0 = m0 * sqrt_mass
@@ -251,7 +245,8 @@ def hmc_step(
 
     # _eval gives a non-finite endpoint state value -inf and NaN gradient,
     # so the ratio for such a row is not finite: it rejects
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+        log_u = np.log(u)  # -inf for a zero uniform, which accepts any finite ratio
         kin0 = (0.5 * m0 * m0 if inv_mass is None else 0.5 * m0 * m0 * inv_mass).sum(axis=1)
         kin1 = (0.5 * m1 * m1 if inv_mass is None else 0.5 * m1 * m1 * inv_mass).sum(axis=1)
         # float64 energies: the values are float64 at any working precision

@@ -2,7 +2,8 @@
 defined in src/manychain is referenced elsewhere in src/, exported by
 manychain/__init__.py, or named in perfbench/, and every private module-level
 function or class is named somewhere in src/. Helpers only tests use live
-in tests/testkit.py instead.
+in tests/testkit.py instead. A test's subclass of a model target defines
+only methods its base defines, so none is a hook that nothing calls.
 
 A reference is any name, attribute or imported name in the source, so a
 method counts as used when any attribute of its name is read: the check
@@ -75,3 +76,36 @@ def test_every_private_definition_is_named_in_src():
         and node.name.startswith("_") and node.name not in named
     ]
     assert not unnamed, f"private definitions nothing in src/ names: {unnamed}"
+
+
+def _base_name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_test_targets_override_only_names_their_base_defines():
+    """A method that a test's subclass of Target, ModelTarget or
+    GaussianTarget defines and its base does not (a hook since renamed in
+    src/, say) is never called: the test would hold the base to itself."""
+    classes = {node.name: node for node in _tree(PACKAGE / "model.py").body
+               if isinstance(node, ast.ClassDef)}
+
+    def defined(name):
+        node = classes[name]
+        own = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        return own.union(*(defined(b) for b in map(_base_name, node.bases) if b in classes))
+
+    subclasses, strays = [], []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = [b for b in map(_base_name, node.bases)
+                     if b in ("Target", "ModelTarget", "GaussianTarget")]
+            if not bases:
+                continue
+            subclasses.append(node.name)
+            known = set(dir(object)).union(*map(defined, bases))
+            strays += [f"{path.name}:{node.name}.{item.name}" for item in node.body
+                       if isinstance(item, ast.FunctionDef) and item.name not in known]
+    assert subclasses, "no test subclasses a target, so nothing was checked"
+    assert not strays, f"methods that override nothing in their base: {strays}"

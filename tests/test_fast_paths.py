@@ -39,22 +39,30 @@ def same_bits(a, b):
 
 
 class CountingTarget:
-    """Wraps a target and counts its evaluations."""
+    """Wraps a target and counts its evaluations: calls to the hook by their
+    (value, grad) flags, and calls to the checked API by name."""
+
+    CHECKED = ("log_prob", "grad", "value_and_grad", "log_prob_ratio")
 
     def __init__(self, target):
         self._target = target
-        self.calls = {"grad": 0, "value_and_grad": 0}
+        self.calls = dict.fromkeys(self.CHECKED, 0)
 
     def __getattr__(self, name):
-        return getattr(self._target, name)
+        attr = getattr(self._target, name)
+        if name not in self.CHECKED:
+            return attr
 
-    def grad(self, z):
-        self.calls["grad"] += 1
-        return self._target.grad(z)
+        def counted(*args):
+            self.calls[name] += 1
+            return attr(*args)
 
-    def value_and_grad(self, z):
-        self.calls["value_and_grad"] += 1
-        return self._target.value_and_grad(z)
+        return counted
+
+    def evaluate(self, zb, value, grad):
+        flags = ("evaluate", value, grad)
+        self.calls[flags] = self.calls.get(flags, 0) + 1
+        return self._target.evaluate(zb, value, grad)
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
@@ -152,7 +160,10 @@ def test_trajectory_matches_value_and_grad_at_every_step(precision, with_mass):
     want = reference_leapfrog(base, eps, steps, z0, m0, g0, inv_mass)
     for a, b in zip(got, want):
         assert same_bits(a, b)
-    assert target.calls == {"grad": steps - 1, "value_and_grad": 1}
+    # gradient-only hook calls inside, one with the value at the endpoint,
+    # and no checked call
+    assert target.calls == {("evaluate", False, True): steps - 1, ("evaluate", True, True): 1,
+                            "log_prob": 0, "grad": 0, "value_and_grad": 0, "log_prob_ratio": 0}
     z1, value1 = got[0], got[2]
     for dead in (2, 4):
         assert not np.all(np.isfinite(z1[dead])) and np.isneginf(value1[dead])

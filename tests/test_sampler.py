@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from manychain.model import GaussianTarget, ModelTarget, generate_synthetic
+from manychain.model import GaussianTarget, ModelTarget, Target, generate_synthetic
 from manychain.prng import key_from_seed, normal, normal_uniform_each, split
 from manychain.sampler import (
     ChainBatch,
@@ -327,6 +327,59 @@ class LengthTraceSink(TraceSink):
     def record(self, out):
         super().record(out)
         self.lengths.append(out.num_leapfrog_used)
+
+
+def test_hmc_step_rejects_a_batch_of_the_wrong_width_or_dtype():
+    """A hand-built ChainBatch is input from outside the loop, and the
+    target's hook checks nothing, so hmc_step checks the batch's width and
+    dtype once per iteration."""
+    target, key = small_model(seed=74)
+    t32 = ModelTarget(target.dataset, precision="single")
+    step_key, jitter_key = split(key, 2)
+    config = HmcConfig(0.05, 3)
+    z = 0.1 * np.asarray(normal(key, [3, target.dim]))
+    value, grad = target.value_and_grad(z)
+    with pytest.raises(ValueError, match=f"must be \\(C, {t32.dim}\\) float32"):
+        hmc_step(t32, config, ChainBatch(z, value, grad), step_key, jitter_key)
+    for width in (target.dim - 2, target.dim + 2):
+        wrong = ChainBatch(np.zeros((3, width)), value, np.zeros((3, width)))
+        with pytest.raises(ValueError, match=f"must be \\(C, {target.dim}\\) float64"):
+            hmc_step(target, config, wrong, step_key, jitter_key)
+    batch, _ = hmc_step(t32, config, ChainBatch.init(t32, z), step_key, jitter_key)
+    assert batch.z.dtype == np.float32
+
+
+@pytest.mark.parametrize("make_target, step_size", [
+    (lambda: small_model(seed=75)[0], 0.1),
+    (lambda: small_model(seed=75)[0], 3.0),  # some proposals go non-finite
+    (lambda: ModelTarget(small_model(seed=75)[0].dataset, "single", threads=2), 0.1),
+    (lambda: GaussianTarget(5), 0.5),
+])
+def test_the_loop_evaluates_only_through_the_hook(monkeypatch, make_target, step_size):
+    """After ChainBatch.init, run_chains makes no call to the checked API
+    (log_prob, grad, value_and_grad, log_prob_ratio): one call to the hook
+    per leapfrog step, with the value only at each trajectory's endpoint."""
+    target = make_target()
+    key = key_from_seed(75)
+    batch = ChainBatch.init(target, 0.1 * np.asarray(normal(key, [20, target.dim])))
+    checked, value_flags = [], []
+    for name in ("log_prob", "grad", "value_and_grad", "log_prob_ratio"):
+        checked_call = getattr(Target, name)
+        monkeypatch.setattr(Target, name, lambda self, *args, name=name, call=checked_call:
+                            checked.append(name) or call(self, *args))
+    evaluate = type(target).evaluate
+
+    def counted(self, zb, value, grad):
+        value_flags.append(value)
+        assert grad
+        return evaluate(self, zb, value, grad)
+
+    monkeypatch.setattr(type(target), "evaluate", counted)
+    sink = LengthTraceSink()
+    run_chains(target, HmcConfig(step_size, 3), batch, key, 6, sink=sink)
+    assert checked == []
+    assert len(value_flags) == sum(sink.lengths) and value_flags.count(True) == 6
+    assert np.isneginf(sink.log_accept_ratios()).any() == (step_size == 3.0)
 
 
 def test_run_chains_traces_and_determinism():

@@ -289,7 +289,7 @@ def test_demo_sink_evaluates_each_state_once_per_model(monkeypatch, argv, some_a
     values the sink tracks stay bitwise fresh log_prob evaluations of its
     current states."""
     counts = {"single": 0, "double": 0}
-    evaluate = ModelTarget._evaluate
+    evaluate = ModelTarget.evaluate
 
     def counted(target, zb, value, grad):
         counts[target.precision] += 1
@@ -311,7 +311,7 @@ def test_demo_sink_evaluates_each_state_once_per_model(monkeypatch, argv, some_a
             assert same_bits(self.value64, self.t64.log_prob(self.z))
             self.seen = dict(counts)
 
-    monkeypatch.setattr(ModelTarget, "_evaluate", counted)
+    monkeypatch.setattr(ModelTarget, "evaluate", counted)
     monkeypatch.setattr(cli, "_DemoSink", CheckedSink)
     rc = cli.main(["precision-demo", "--model", f"german-credit:{SMALL_CSV}",
                    "--replication", "1", "--steps", "10", *argv])

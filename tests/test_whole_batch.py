@@ -58,7 +58,7 @@ class RowMajorTarget(ModelTarget):
     The block's terms are then summed as the panels sum theirs: column sums
     of a contiguous float64 (N, b) copy, ones @ terms."""
 
-    def _evaluate(self, zb, value, grad):
+    def evaluate(self, zb, value, grad):
         c, d = len(zb), self.num_features
         u, beta = zb[:, : 1 + d], zb[:, 1 + d :]
         a, r = self.dtype(model.GAMMA_SHAPE), self.dtype(model.GAMMA_RATE)
