@@ -27,10 +27,11 @@ evaluation, and the residual product xs.T @ residuals writes the block's
 columns of a (D, C) gradient.
 
 A target (ModelTarget, GaussianTarget) supplies dim, param_names() and one
-hook, evaluate(zb, value, grad): the one evaluation, unchecked, of a finite
-(C, P) batch at the target's dtype. The sampler calls it inside its own
-np.errstate; the base class Target writes the checked API on it once
-(log_prob, grad, value_and_grad, log_prob_ratio) for callers outside the loop.
+hook, evaluate(zb, value, grad): the one evaluation, unchecked, of a (C, P)
+batch at the target's dtype, where a non-finite row gets a non-finite value
+and touches no other row. The sampler calls it inside its own np.errstate;
+the base class Target writes the checked API on it once (log_prob, grad,
+value_and_grad, log_prob_ratio), which rejects non-finite states.
 
 Every density value is accumulated in float64, at either working precision:
 each term is computed at the working width and summed into a float64 total
@@ -324,8 +325,10 @@ class Target:
 
     def evaluate(self, zb, value: bool, grad: bool):
         """(value or None, grad or None), the (C,) float64 log density and
-        the (C, dim) gradient as asked. Unchecked: zb must be a finite (C, dim)
-        array of self.dtype, and the caller silences overflow and invalid."""
+        the (C, dim) gradient as asked. Unchecked: zb must be a (C, dim)
+        array of self.dtype, and the caller silences overflow and invalid.
+        A row with a non-finite entry gets a non-finite value (its gradient
+        is unspecified) and changes no other row's bits."""
         raise NotImplementedError
 
     def _checked(self, z, value: bool, grad: bool):

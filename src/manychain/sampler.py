@@ -29,18 +29,20 @@ order. Parallel work, where a target has any, lives in its batch
 evaluation (ModelTarget's threads), which keeps each row's bits.
 
 The loop evaluates only through the target's unchecked hook,
-target.evaluate: hmc_step checks the batch's dtype and width once per
-iteration, _eval scans each state once for finiteness, and one np.errstate
-covers a trajectory. The checked API is for callers outside the loop.
+target.evaluate: hmc_step checks the batch's dtypes and shapes once per
+iteration, every state goes to the hook as it is, unscanned, and one
+np.errstate covers a trajectory. The checked API is for callers outside
+the loop.
 
 Interior leapfrog steps evaluate only the gradient; the density value is
 evaluated once per trajectory, at its endpoint. The log accept ratio is the
 difference of two float64 energies, kinetic energy minus the target's
 float64 log density, so at either working precision a small ratio survives
 a log density far past 2**24 (see model). Rejected chains keep their cached
-density value and gradient; a non-finite proposal density, coordinate, or
-ratio forces rejection through a -inf log accept ratio rather than
-poisoning the batch with NaNs.
+density value and gradient. A non-finite coordinate stays non-finite under
+z + eps * m and the target gives its state a non-finite value, so the one
+guard against divergence is hmc_step's: a non-finite ratio becomes -inf and
+rejects, and no NaN reaches the kept batch.
 """
 
 from __future__ import annotations
@@ -162,22 +164,9 @@ def _leapfrog(target, eps, num_steps, z, m, grad, inv_mass):
         for step in range(num_steps, 0, -1):
             m = m + half * grad
             z = z + eps * (m if inv_mass is None else m * inv_mass)
-            value, grad = _eval(target, z, value=step == 1)
+            value, grad = target.evaluate(z, step == 1, True)
             m = m + half * grad
     return z, m, value, grad
-
-
-def _eval(target, z, value):
-    """target.evaluate(z, value, True) that tolerates non-finite states
-    mid-trajectory: a dead row is evaluated at the origin instead and comes
-    back with value -inf and gradient NaN. A finite batch costs this one
-    whole-array scan; only a batch that fails it is scanned row by row."""
-    if np.isfinite(z).all():
-        return target.evaluate(z, value, True)
-    dead = ~np.isfinite(z).all(axis=1)
-    value, grad = target.evaluate(np.where(dead[:, None], z.dtype.type(0.0), z), value, True)
-    value = None if value is None else np.where(dead, z.dtype.type(-np.inf), value)
-    return value, np.where(dead[:, None], z.dtype.type(np.nan), grad)
 
 
 def draw_trajectory_length(jitter_key: RandomKey, base_steps: int, jitter: bool) -> int:
@@ -208,11 +197,15 @@ def hmc_step(
     hands back per-chain lengths that are not all equal the step raises
     LockstepViolationError instead of silently desynchronizing the batch.
     """
-    c, p = batch.z.shape
+    c, p = len(batch.z), target.dim
     dtype = target.dtype
-    if batch.z.dtype != dtype or p != target.dim:
-        raise ValueError(f"batch states must be (C, {target.dim}) {np.dtype(dtype)}, "
-                         f"got {batch.z.shape} {batch.z.dtype}")
+    for name, a, shape, want in (("states", batch.z, (c, p), dtype),
+                                 ("gradients", batch.grad, (c, p), dtype),
+                                 ("values", batch.value, (c,), np.float64)):
+        if a.shape != shape or a.dtype != want:
+            form = f"(C, {p})" if len(shape) == 2 else "(C,)"
+            raise ValueError(f"batch {name} must be {form} {np.dtype(want)}, "
+                             f"got {a.shape} {a.dtype}")
 
     if length_fn is None:
         num_steps = draw_trajectory_length(jitter_key, config.num_leapfrog_steps, config.jitter)
@@ -243,8 +236,8 @@ def hmc_step(
         target, dtype(config.step_size), num_steps, batch.z, m0, batch.grad, inv_mass
     )
 
-    # _eval gives a non-finite endpoint state value -inf and NaN gradient,
-    # so the ratio for such a row is not finite: it rejects
+    # a diverged row's endpoint has a non-finite value, so its ratio is not
+    # finite: the mask below, the loop's one guard, rejects it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
         log_u = np.log(u)  # -inf for a zero uniform, which accepts any finite ratio
         kin0 = (0.5 * m0 * m0 if inv_mass is None else 0.5 * m0 * m0 * inv_mass).sum(axis=1)

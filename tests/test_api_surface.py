@@ -3,7 +3,8 @@ defined in src/manychain is referenced elsewhere in src/, exported by
 manychain/__init__.py, or named in perfbench/, and every private module-level
 function or class is named somewhere in src/. Helpers only tests use live
 in tests/testkit.py instead. A test's subclass of a model target defines
-only methods its base defines, so none is a hook that nothing calls.
+only methods its base defines, so none is a hook that nothing calls, and
+in src/ only the checked API and the integrator reach the hook.
 
 A reference is any name, attribute or imported name in the source, so a
 method counts as used when any attribute of its name is read: the check
@@ -109,3 +110,29 @@ def test_test_targets_override_only_names_their_base_defines():
                        if isinstance(item, ast.FunctionDef) and item.name not in known]
     assert subclasses, "no test subclasses a target, so nothing was checked"
     assert not strays, f"methods that override nothing in their base: {strays}"
+
+
+def _scoped(tree):
+    """(dotted name of the innermost enclosing def or class, node) for every
+    node below tree; "" at module level."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            yield inner, child
+            yield from walk(child, inner)
+
+    return walk(tree, "")
+
+
+def test_only_the_checked_api_and_the_integrator_reach_the_hook():
+    """Target.evaluate takes states as they are, unscanned, so in src/ only
+    Target._checked (which scans them) and sampler._leapfrog (whose
+    trajectory's ratio rejects a dead row) may read it, to call it or
+    otherwise."""
+    readers = {f"{path.stem}.{scope}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for scope, node in _scoped(_tree(path))
+               if isinstance(node, ast.Attribute) and node.attr == "evaluate"}
+    assert readers == {"model.Target._checked", "sampler._leapfrog"}

@@ -1,5 +1,7 @@
 """Integrator, accept path, adaptation, and lockstep behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -318,15 +320,18 @@ def test_chain_batch_validation():
 
 
 class LengthTraceSink(TraceSink):
-    """A TraceSink that also keeps each iteration's trajectory length."""
+    """A TraceSink that also keeps each iteration's trajectory length and
+    proposals."""
 
     def __init__(self):
         super().__init__()
         self.lengths = []
+        self.proposals = []
 
     def record(self, out):
         super().record(out)
         self.lengths.append(out.num_leapfrog_used)
+        self.proposals.append(out.proposal)
 
 
 def test_hmc_step_rejects_a_batch_of_the_wrong_width_or_dtype():
@@ -349,20 +354,44 @@ def test_hmc_step_rejects_a_batch_of_the_wrong_width_or_dtype():
     assert batch.z.dtype == np.float32
 
 
+def test_hmc_step_rejects_a_batch_whose_values_or_gradients_do_not_fit():
+    """The entry check covers the whole batch: a float64 gradient would run
+    a float32 trajectory, and so the hook, in float64; a float32 value
+    would form the first energy in float32; a short value vector would fail
+    deep in the accept step."""
+    target, key = small_model(seed=76)
+    t32 = ModelTarget(target.dataset, precision="single")
+    step_key, jitter_key = split(key, 2)
+    config = HmcConfig(0.05, 3)
+    good = ChainBatch.init(t32, 0.1 * np.asarray(normal(key, [3, t32.dim])))
+    grads = f"batch gradients must be \\(C, {t32.dim}\\) float32"
+    values = "batch values must be \\(C,\\) float64"
+    for wrong, match in [(dict(grad=good.grad.astype(np.float64)), grads),
+                         (dict(value=good.value.astype(np.float32)), values),
+                         (dict(value=good.value[:-1]), values)]:
+        with pytest.raises(ValueError, match=match):
+            hmc_step(t32, config, replace(good, **wrong), step_key, jitter_key)
+    batch, _ = hmc_step(t32, config, good, step_key, jitter_key)
+    assert batch.grad.dtype == np.float32 and batch.value.dtype == np.float64
+
+
 @pytest.mark.parametrize("make_target, step_size", [
     (lambda: small_model(seed=75)[0], 0.1),
     (lambda: small_model(seed=75)[0], 3.0),  # some proposals go non-finite
     (lambda: ModelTarget(small_model(seed=75)[0].dataset, "single", threads=2), 0.1),
+    (lambda: ModelTarget(small_model(seed=75)[0].dataset, "single", threads=2), 3.0),
     (lambda: GaussianTarget(5), 0.5),
 ])
 def test_the_loop_evaluates_only_through_the_hook(monkeypatch, make_target, step_size):
     """After ChainBatch.init, run_chains makes no call to the checked API
     (log_prob, grad, value_and_grad, log_prob_ratio): one call to the hook
-    per leapfrog step, with the value only at each trajectory's endpoint."""
+    per leapfrog step, with the value only at each trajectory's endpoint.
+    The endpoint the hook gets is the proposal, bit for bit: a diverged
+    row reaches it as it is, never replaced by a stand-in state."""
     target = make_target()
     key = key_from_seed(75)
     batch = ChainBatch.init(target, 0.1 * np.asarray(normal(key, [20, target.dim])))
-    checked, value_flags = [], []
+    checked, value_flags, endpoints = [], [], []
     for name in ("log_prob", "grad", "value_and_grad", "log_prob_ratio"):
         checked_call = getattr(Target, name)
         monkeypatch.setattr(Target, name, lambda self, *args, name=name, call=checked_call:
@@ -372,6 +401,8 @@ def test_the_loop_evaluates_only_through_the_hook(monkeypatch, make_target, step
     def counted(self, zb, value, grad):
         value_flags.append(value)
         assert grad
+        if value:
+            endpoints.append(zb.copy())
         return evaluate(self, zb, value, grad)
 
     monkeypatch.setattr(type(target), "evaluate", counted)
@@ -380,6 +411,13 @@ def test_the_loop_evaluates_only_through_the_hook(monkeypatch, make_target, step
     assert checked == []
     assert len(value_flags) == sum(sink.lengths) and value_flags.count(True) == 6
     assert np.isneginf(sink.log_accept_ratios()).any() == (step_size == 3.0)
+    for zb, proposal in zip(endpoints, sink.proposals, strict=True):
+        assert zb.dtype == proposal.dtype and zb.tobytes() == proposal.tobytes()
+    dead = np.stack([~np.isfinite(z).all(axis=1) for z in sink.proposals])
+    assert dead.any() == (step_size == 3.0)
+    # a dead row rejects; the kept states stay finite
+    assert np.isneginf(sink.log_accept_ratios()[dead]).all()
+    assert np.isfinite(sink.z_trace()).all()
 
 
 def test_run_chains_traces_and_determinism():

@@ -263,6 +263,31 @@ def test_pool_workers_raise_no_warnings(precision):
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dead_rows_leave_every_other_row_its_bits(precision, threads):
+    """The sampler hands the hook every state as it is. In a 40-chain batch
+    (float64 blocks of 16, 16 and 8, two per thread group; float32 blocks
+    of 32 and 8) rows holding NaN, +inf and -inf in a scale, a weight or
+    every entry come back dead, -inf, and each other row gets the bits it
+    gets when those rows hold finite states."""
+    target = regression_target(precision, threads)
+    d = target.num_features
+    finite = (0.3 * np.asarray(normal(key_from_seed(9), [40, target.dim]))).astype(target.dtype)
+    z = finite.copy()
+    dead = [0, 3, 17, 20, 33, 39]
+    z[0, 0], z[3, 1], z[17, 1 + d], z[33, -1], z[39, d] = np.nan, np.inf, -np.inf, np.inf, -np.inf
+    z[20] = np.nan
+    live = np.setdiff1d(np.arange(40), dead)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for flags in [(True, True), (False, True), (True, False)]:
+            want, got = target.evaluate(finite, *flags), target.evaluate(z, *flags)
+            for w, g in zip(want, got):
+                assert (w is None) == (g is None)
+                assert w is None or same_bits(w[live], g[live]), flags
+            assert got[0] is None or np.isneginf(got[0][dead]).all()
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
 @pytest.mark.parametrize("chains", [16, 20, 32, 48, 64])
 def test_check_cache_holds_after_a_run(precision, chains):
     """The cache a run fills range by range equals a whole-batch
