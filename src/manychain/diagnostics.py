@@ -48,8 +48,11 @@ def welford_update(acc: StreamingMoments, x) -> StreamingMoments:
     x = np.asarray(x, dtype=np.float64)
     n = acc.count + 1
     delta = x - acc.mean
-    mean = acc.mean + delta / n
-    m2 = acc.m2 + delta * (x - mean)
+    mean = np.divide(delta, n)
+    mean += acc.mean  # acc.mean + delta / n
+    m2 = np.subtract(x, mean)
+    m2 *= delta
+    m2 += acc.m2  # acc.m2 + delta * (x - mean)
     return StreamingMoments(n, mean, m2)
 
 
@@ -189,10 +192,11 @@ def roundoff_grid_hits(log_accept_ratios) -> int:
     behind. Healthy double-precision ratios land there with probability about
     zero; a large share of hits means the accept statistics are quantization
     artifacts."""
-    r = np.asarray(log_accept_ratios, dtype=np.float64).ravel()
-    moderate = np.isfinite(r) & (np.abs(r) < ROUNDOFF_ABS_LIMIT)
-    q = 4.0 * r[moderate]
-    return int((np.abs(q - np.round(q)) < ROUNDOFF_QUARTER_TOL).sum())
+    r = np.asarray(log_accept_ratios, dtype=np.float64)
+    # |r| < limit is false at NaN and +-inf, so q is finite and 4r cannot overflow
+    q = 4.0 * r[np.abs(r) < ROUNDOFF_ABS_LIMIT]
+    q -= np.round(q)
+    return int(np.count_nonzero(np.abs(q, out=q) < ROUNDOFF_QUARTER_TOL))
 
 
 def harmonic_mean_acceptance(probs) -> float:
@@ -243,7 +247,8 @@ def accept_probs_from_ratios(log_accept_ratios) -> np.ndarray:
     """Per-draw acceptance probabilities exp(min(0, ratio)), floored at 1e-10
     so a hopeless chain still has a finite harmonic-mean contribution."""
     r = np.asarray(log_accept_ratios, dtype=np.float64)
-    return np.clip(np.exp(np.minimum(r, 0.0)), 1e-10, 1.0)
+    p = np.exp(np.minimum(r, 0.0))  # at most 1 already
+    return np.maximum(p, 1e-10, out=p)
 
 
 class RunStatistics:
@@ -276,7 +281,8 @@ class RunStatistics:
             self._aa, self._harmonic_sum, self._grid_hits = 0.0, 0.0, 0
         elif z.shape != self._prev.shape:
             raise ValueError(f"draws changed shape from {self._prev.shape} to {z.shape}")
-        sq = ((z - self._anchor) ** 2).sum(axis=1)
+        centred = z - self._anchor
+        sq = np.add.reduce(np.square(centred, out=centred), axis=1)
         if self._steps:
             jump = z - self._prev
             a = sq - self._prev_sq
@@ -284,7 +290,7 @@ class RunStatistics:
             self._aj += a @ jump
             self._jj += jump.T @ jump
         self._prev, self._prev_sq = z, sq
-        self._draw_sum += z.sum(axis=0)
+        self._draw_sum += np.add.reduce(z, axis=0)
         self._harmonic_sum += harmonic_accept(r)
         self._grid_hits += roundoff_grid_hits(r)
         self._steps += 1

@@ -12,9 +12,12 @@ overlaps the bits handed out as draws:
     counter = [index, 0, domain, 0]
 
 with domain 0 for draws, 1 for a key's children, 3 for seed expansion.
-Normal variates are produced by inverse-CDF transform of open-interval
-uniforms built from 53 random bits; this choice is fixed so that a given key
-always yields the same bits.
+A draw is the top 53 bits of one raw Philox word (word >> 11), the k that
+Generator.integers(0, 2**53) would return for the same word: with a range
+of 2**53, its Lemire rejection threshold is 0 and it never rejects. Normal
+variates are the inverse-CDF transform of the open-interval uniforms
+(k + 0.5) / 2**53; this choice is fixed so that a given key always yields
+the same bits.
 
 Every function reads numpy's Philox through _stream: each thread reuses one
 Philox whose state is set to the key and counter asked for, which is what a
@@ -30,6 +33,7 @@ therefore do not depend on how many chains are drawn beside it, and chain
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from itertools import count, islice
@@ -47,7 +51,7 @@ _CHILDREN_PER_READ = 64  # children built per split-domain read, two per Philox 
 _SEED_EXPAND_CONST = 0x9E3779B97F4A7C15
 
 _U64 = np.uint64
-_TWO53 = 1 << 53
+_INV_TWO53 = 1.0 / (1 << 53)
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,20 @@ def split(key: RandomKey, n: int) -> list[RandomKey]:
     return list(islice(children(key), n))
 
 
+def _top53(words: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each raw word as float64, exactly: the k on
+    [0, 2**53) that Generator.integers(0, 2**53) draws from the same word.
+    Shifts words in place."""
+    words >>= _U64(11)
+    return words.astype(np.float64)
+
+
+def _normals(x: np.ndarray) -> np.ndarray:
+    """ndtri(x / 2**53) for x = k + 0.5, computed in place in x."""
+    x *= _INV_TWO53
+    return ndtri(x, out=x)
+
+
 def _resolve_shape(shape):
     if shape is None:
         return None
@@ -151,15 +169,14 @@ def uniform(key: RandomKey, shape=None) -> np.ndarray | float:
 def normal(key: RandomKey, shape=None) -> np.ndarray | float:
     """Standard normal draws in float64 via inverse-CDF of (0,1) uniforms.
 
-    Uniforms are (k + 0.5) / 2**53 with k drawn on [0, 2**53), strictly
-    inside the open interval, so the transform never hits an infinity.
+    Uniforms are (k + 0.5) / 2**53 with k the top 53 bits of a raw word,
+    strictly inside the open interval, so the transform never hits an
+    infinity.
     """
     shp = _resolve_shape(shape)
-    gen = _stream(key, _DOMAIN_DRAW)
     size = shp if shp is not None else ()
-    k = gen.integers(0, _TWO53, size=size, dtype=np.uint64, endpoint=False)
-    u = (k.astype(np.float64) + 0.5) / _TWO53
-    z = ndtri(u)
+    words = _stream(key, _DOMAIN_DRAW).bit_generator.random_raw(math.prod(size))
+    z = _normals(_top53(words) + 0.5).reshape(size)
     if shp is None or shp == ():
         return float(z)
     return z
@@ -187,12 +204,11 @@ def normal_uniform_each(
 
     The stream is laid out chain by chain: chain c takes words c*(size+1)
     to c*(size+1)+size, its size normals, transformed as normal() does, and
-    then its uniform, as random() draws it. Chain 0 thus reads what
+    then its uniform k / 2**53, as random() draws it. Chain 0 thus reads what
     normal(key, [size]) reads. Returns float64 arrays (num_chains, size)
     and (num_chains,)."""
     if num_chains < 0 or size < 0:
         raise ValueError(f"num_chains and size must be >= 0, got {num_chains} and {size}")
-    gen = _stream(key, _DOMAIN_DRAW)
-    k = gen.integers(0, _TWO53, size=(num_chains, size + 1), dtype=np.uint64, endpoint=False)
-    bits = k.astype(np.float64)
-    return ndtri((bits[:, :size] + 0.5) / _TWO53), bits[:, size] * (1.0 / _TWO53)
+    words = _stream(key, _DOMAIN_DRAW).bit_generator.random_raw(num_chains * (size + 1))
+    k = _top53(words).reshape(num_chains, size + 1)
+    return _normals(k[:, :size] + 0.5), k[:, size] * _INV_TWO53

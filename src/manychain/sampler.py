@@ -140,11 +140,23 @@ class StepOutput:
 def leapfrog_step(target, step_size, z, m, grad, mass_diag=None, num_steps=1):
     """num_steps leapfrog updates, each a half momentum kick, a position
     drift by m / mass and a half kick. Returns (z, m, value, grad) at the
-    end of the last update."""
+    end of the last update.
+
+    The entry for states from outside the loop: z, m and grad, a (P,) state
+    or a (C, P) batch each, are cast to the target's dtype and must share
+    one shape and be finite everywhere, or ValueError is raised, as the
+    checked API raises on a non-finite state. Inside the trajectory nothing
+    is scanned: a state that diverges gets a non-finite value."""
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
     dtype = target.dtype
     z, m, grad = (np.asarray(a, dtype=dtype) for a in (z, m, grad))
+    if not (z.shape == m.shape == grad.shape and z.ndim in (1, 2)):
+        raise ValueError(f"z, m and grad must share one (P,) or (C, P) shape, "
+                         f"got {z.shape}, {m.shape} and {grad.shape}")
+    for name, a in (("z", z), ("m", m), ("grad", grad)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} contains non-finite entries")
     single = z.ndim == 1
     if single:
         z, m, grad = z[None, :], m[None, :], grad[None, :]
@@ -158,15 +170,36 @@ def leapfrog_step(target, step_size, z, m, grad, mass_diag=None, num_steps=1):
 def _leapfrog(target, eps, num_steps, z, m, grad, inv_mass):
     """Integrate num_steps >= 1 leapfrog updates. Interior steps need only
     the gradient; the density value is evaluated once, at the endpoint.
-    Returns (z, m, value, grad)."""
+    Returns (z, m, value, grad).
+
+    Every kick and drift increment goes through one buffer, and the first
+    kick's new m is updated in place from then on; the caller's z, m and
+    grad are never written. Each drift makes a new z, which the target may
+    keep."""
     half = eps * z.dtype.type(0.5)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        buf = np.multiply(half, grad)
+        m = m + buf
         for step in range(num_steps, 0, -1):
-            m = m + half * grad
-            z = z + eps * (m if inv_mass is None else m * inv_mass)
+            if inv_mass is None:
+                np.multiply(eps, m, out=buf)
+            else:
+                np.multiply(eps, np.multiply(m, inv_mass, out=buf), out=buf)
+            z = z + buf
             value, grad = target.evaluate(z, step == 1, True)
-            m = m + half * grad
+            m += np.multiply(half, grad, out=buf)
+            if step > 1:
+                m += buf  # the next update's first half kick, same gradient
     return z, m, value, grad
+
+
+def _half_mm(m, inv_mass, out):
+    """0.5 * m * m [* inv_mass], evaluated left to right into out."""
+    np.multiply(0.5, m, out=out)
+    out *= m
+    if inv_mass is not None:
+        out *= inv_mass
+    return out
 
 
 def draw_trajectory_length(jitter_key: RandomKey, base_steps: int, jitter: bool) -> int:
@@ -239,13 +272,15 @@ def hmc_step(
     # a diverged row's endpoint has a non-finite value, so its ratio is not
     # finite: the mask below, the loop's one guard, rejects it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        log_u = np.log(u)  # -inf for a zero uniform, which accepts any finite ratio
-        kin0 = (0.5 * m0 * m0 if inv_mass is None else 0.5 * m0 * m0 * inv_mass).sum(axis=1)
-        kin1 = (0.5 * m1 * m1 if inv_mass is None else 0.5 * m1 * m1 * inv_mass).sum(axis=1)
+        log_u = np.log(u, out=u)  # -inf for a zero uniform, which accepts any finite ratio
+        buf = np.empty_like(m1)
+        kin0 = np.add.reduce(_half_mm(m0, inv_mass, buf), axis=1)
+        kin1 = np.add.reduce(_half_mm(m1, inv_mass, buf), axis=1)
         # float64 energies: the values are float64 at any working precision
-        log_accept_ratio = (kin0 - batch.value) - (kin1 - value1)
+        log_accept_ratio = np.subtract(kin0, batch.value)
+        log_accept_ratio -= np.subtract(kin1, value1)
 
-    log_accept_ratio = np.where(np.isfinite(log_accept_ratio), log_accept_ratio, -np.inf)
+    log_accept_ratio[~np.isfinite(log_accept_ratio)] = -np.inf
 
     accepted = log_u < log_accept_ratio
     keep = accepted[:, None]
@@ -384,7 +419,7 @@ def run_chains(
         batch, out = hmc_step(target, config, batch, step_key, jitter_key)
         if sink is not None:
             sink.record(out)
-        accept_total += int(out.is_accepted.sum())
+        accept_total += int(np.count_nonzero(out.is_accepted))
     wall = perf_counter() - t0
 
     return RunSummary(

@@ -5,6 +5,7 @@ the code under test."""
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,15 @@ from manychain.diagnostics import (
     variance,
     welford_init,
     welford_merge,
+    harmonic_accept,
     welford_update,
+)
+from testkit import (
+    reference_accept_probs_from_ratios,
+    reference_harmonic_accept,
+    reference_roundoff_grid_hits,
+    reference_welford_update,
+    same_bits,
 )
 
 
@@ -316,6 +325,55 @@ def test_roundoff_grid_hits_counts_grid_points():
 def test_roundoff_grid_hits_quiet_on_healthy_ratios():
     rng = np.random.default_rng(19)
     assert roundoff_grid_hits(rng.normal(size=10_000)) < 100  # under 1%
+
+
+# ratios at the fold's edges: quarter-grid points, the roundoff limit and
+# its neighbours, infinities, NaN, signed zeros and values whose 4r overflows
+EDGE_RATIOS = [0.0, -0.0, -0.25, 0.5, -3.75, 12.0, -0.25 + 1e-12, -0.25 + 1e-8,
+               1e6, -1e6, 1e6 - 0.25, -(1e6 - 0.25), 1e6 + 0.25, -1e7, 7e-300,
+               np.inf, -np.inf, np.nan, 1e308, -1e308]
+RATIOS = st.one_of(st.sampled_from(EDGE_RATIOS),
+                   st.floats(-50, 5, allow_nan=False),
+                   st.integers(-200, 20).map(lambda k: k / 4))
+
+
+@given(rows=st.lists(st.lists(RATIOS, min_size=3, max_size=3), min_size=2, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_statistics_fold_matches_reference_at_its_edges(rows):
+    """The accept and roundoff statistics give the bits of their plain
+    reference copies on every ratio, warn on none, and so does a report
+    folded over the rows as iterations."""
+    ratios = np.array(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in ratios:
+            assert roundoff_grid_hits(r) == reference_roundoff_grid_hits(r)
+            assert type(roundoff_grid_hits(r)) is int
+            assert same_bits(accept_probs_from_ratios(r), reference_accept_probs_from_ratios(r))
+            assert same_bits(harmonic_accept(r), reference_harmonic_accept(r))
+        stats = RunStatistics()
+        z = np.arange(ratios.size * 2, dtype=np.float64).reshape(len(ratios), 3, 2) % 5
+        for zi, ri in zip(z, ratios):
+            stats.update(zi, ri)
+        report = stats.report(rhat=[1.0, 1.0])
+    harmonic_sum = 0.0
+    for r in ratios:
+        harmonic_sum += reference_harmonic_accept(r)
+    assert same_bits(report.mean_accept_harmonic, harmonic_sum / len(ratios))
+    hits = sum(reference_roundoff_grid_hits(r) for r in ratios)
+    assert same_bits(report.roundoff_flag_fraction, hits / ratios.size)
+
+
+@given(x=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20), shape=st.sampled_from([(), (2, 3)]))
+@settings(max_examples=50, deadline=None)
+def test_welford_update_matches_reference(x, shape):
+    acc = welford_init(shape)
+    count, mean, m2 = 0, np.zeros(shape), np.zeros(shape)
+    for i, v in enumerate(x):
+        obs = np.full(shape, v) + np.arange(np.prod(shape, dtype=int)).reshape(shape) * i
+        acc = welford_update(acc, obs)
+        count, mean, m2 = reference_welford_update(count, mean, m2, obs)
+        assert acc.count == count and same_bits(acc.mean, mean) and same_bits(acc.m2, m2)
 
 
 def test_harmonic_mean_acceptance():

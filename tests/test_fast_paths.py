@@ -24,18 +24,13 @@ from manychain.model import (
 )
 from manychain.prng import key_from_seed, normal, split
 from manychain.sampler import ChainBatch, HmcConfig, hmc_step
-from testkit import check_cache
+from testkit import check_cache, same_bits
 
 
 def small_model(seed, precision="double", rows=80, features=4):
     k_data, k_rest = split(key_from_seed(seed), 2)
     ds = generate_synthetic(k_data, rows, features, 0.5)
     return ModelTarget(ds, precision=precision), k_rest
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class CountingTarget:

@@ -35,6 +35,7 @@ from manychain.prng import (
     uniform,
 )
 from manychain.sampler import ChainBatch, HmcConfig, TraceSink, hmc_step, run_chains
+from testkit import same_bits
 
 U64 = np.uint64
 ALL_ONES = 2**64 - 1
@@ -61,11 +62,6 @@ def normal_from_bits(k):
 
 def as_random_keys(keys):
     return [RandomKey(int(hi), int(lo)) for lo, hi in keys]
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("key", [key_from_seed(3)] + EDGE_KEYS, ids=repr)

@@ -23,7 +23,7 @@ from manychain.sampler import (
     run_chains,
     warmup_adapt,
 )
-from testkit import check_cache
+from testkit import check_cache, same_bits
 import manychain.diagnostics as diag
 import manychain.sampler as sampler
 
@@ -55,6 +55,36 @@ def test_leapfrog_respects_mass():
     )
     assert float(z[0]) == pytest.approx(0.9975, abs=1e-15)
     assert float(m[0]) == pytest.approx(-0.05 + 0.05 * -0.9975, abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["z", "m", "grad"])
+def test_leapfrog_step_rejects_non_finite_input(where, bad):
+    """The public one-step entry scans what it is handed, as the checked API
+    does; only the loop's own integrator takes states unscanned."""
+    args = {"z": [0.5, 1.0], "m": [0.0, 0.0], "grad": [-0.5, -1.0]}
+    args[where] = [bad, 1.0]
+    with pytest.raises(ValueError, match=f"{where} contains non-finite entries"):
+        leapfrog_step(GaussianTarget(2), 0.1, args["z"], args["m"], args["grad"])
+    batch = {k: np.tile(v, (3, 1)) for k, v in args.items()}
+    with pytest.raises(ValueError, match="non-finite"):
+        leapfrog_step(GaussianTarget(2), 0.1, batch["z"], batch["m"], batch["grad"])
+
+
+def test_leapfrog_step_rejects_mismatched_shapes():
+    g = GaussianTarget(2)
+    with pytest.raises(ValueError, match="share one"):
+        leapfrog_step(g, 0.1, np.zeros((3, 2)), np.zeros(2), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="share one"):
+        leapfrog_step(g, 0.1, np.zeros((1, 3, 2)), np.zeros((1, 3, 2)), np.zeros((1, 3, 2)))
+
+
+def test_leapfrog_step_writes_into_nothing_it_was_given():
+    g = GaussianTarget(3)
+    z, m, grad = (np.array([[0.3, -0.2, 1.1], [0.5, 0.4, -0.9]]) for _ in range(3))
+    before = [a.copy() for a in (z, m, grad)]
+    leapfrog_step(g, 0.2, z, m, grad, mass_diag=np.array([1.0, 2.0, 0.5]), num_steps=3)
+    assert all(same_bits(a, b) for a, b in zip((z, m, grad), before))
 
 
 def test_leapfrog_is_reversible():
@@ -504,3 +534,78 @@ def test_warmup_adapt_shapes_and_validation():
         warmup_adapt(g, cfg, z0, k_warm, 10)
     with pytest.raises(ValueError):
         warmup_adapt(g, HmcConfig(0.0, 4), z0, k_warm, 100)
+
+
+class _DeadBeyondOne(GaussianTarget):
+    """Standard normal whose states with first coordinate above 1 are dead:
+    value -inf and a NaN gradient, so a chain that steps there carries NaN
+    momenta and states through the rest of its trajectory and rejects."""
+
+    def evaluate(self, zb, value, grad):
+        v, g = super().evaluate(zb, value, grad)
+        dead = zb[:, 0] > 1.0
+        if v is not None:
+            v[dead] = -np.inf
+        if g is not None:
+            g[dead] = np.nan
+        return v, g
+
+
+@given(
+    precision=st.sampled_from(["single", "double"]),
+    with_mass=st.booleans(),
+    chains=st.integers(1, 6),
+    leapfrog_steps=st.integers(1, 4),
+    # per iteration: an ordinary step, one that sends some chains into the
+    # dead region, or one so large that every trajectory overflows
+    schedule=st.lists(st.sampled_from([0.3, 1.5, "overflow"]), min_size=2, max_size=6),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_transitions_leak_nothing(precision, with_mass, chains, leapfrog_steps, schedule, seed):
+    """hmc_step writes into no array it was handed and none it handed out:
+    the input batch keeps its bits, each proposal keeps them through later
+    iterations, and a TraceSink's retained draws equal copies taken as each
+    iteration ended."""
+    target = _DeadBeyondOne(3, precision=precision)
+    overflow = 1e30 if precision == "single" else 1e200
+    k_init, k_run = split(key_from_seed(seed), 2)
+    z0 = 0.3 * np.asarray(normal(k_init, [chains, 3]))
+    mass = np.array([0.5, 1.0, 3.0]) if with_mass else None
+    steps = [overflow if s == "overflow" else s for s in schedule]
+
+    class CopyingSink:
+        """Keeps a TraceSink, a copy of every output's arrays, and steps the
+        config through the schedule."""
+
+        def __init__(self, config):
+            self.config, self.trace, self.copies = config, TraceSink(), []
+
+        def record(self, out):
+            self.trace.record(out)
+            self.copies.append((out.z.copy(), out.is_accepted.copy(),
+                                out.log_accept_ratio.copy()))
+            self.config.step_size = steps[min(len(self.copies), len(steps) - 1)]
+
+    config = HmcConfig(step_size=steps[0], num_leapfrog_steps=leapfrog_steps, mass_diag=mass)
+    batch = ChainBatch.init(target, z0)
+    outs, proposals = [], []
+    for step_size, (step_key, jitter_key) in zip(steps, sampler.iteration_keys(k_run, len(steps))):
+        given_arrays = (batch.z, batch.value, batch.grad)
+        before = [a.copy() for a in given_arrays]
+        config.step_size = step_size
+        batch, out = hmc_step(target, config, batch, step_key, jitter_key)
+        assert all(same_bits(a, b) for a, b in zip(given_arrays, before))
+        outs.append(out)
+        proposals.append(out.proposal.copy())
+    assert all(same_bits(out.proposal, p) for out, p in zip(outs, proposals))
+    assert all(np.isfinite(out.z).all() for out in outs)  # the diverged rows rejected
+
+    sink = CopyingSink(replace(config, step_size=steps[0]))
+    run_chains(target, sink.config, z0, k_run, len(steps), sink=sink)
+    z_copies, accepted_copies, ratio_copies = (np.stack(a) for a in zip(*sink.copies))
+    assert same_bits(sink.trace.z_trace(), z_copies.astype(np.float64))
+    assert same_bits(sink.trace.is_accepted(), accepted_copies)
+    assert same_bits(sink.trace.log_accept_ratios(), ratio_copies)
+    # the loop ran the transitions just checked
+    assert same_bits(z_copies, np.stack([out.z for out in outs]))

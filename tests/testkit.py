@@ -1,8 +1,11 @@
-"""Readers for the files the CLI writes, and a cache check for chain
-batches. The package only writes these files and never reads them back, so
-the readers live with the tests that do."""
+"""Readers for the files the CLI writes, a cache check for chain batches,
+and plain reference copies of the statistics fold. The package only writes
+these files and never reads them back, so the readers live with the tests
+that do."""
 
 import numpy as np
+
+from manychain.diagnostics import ROUNDOFF_ABS_LIMIT, ROUNDOFF_QUARTER_TOL
 
 
 def read_trace_csv(path):
@@ -69,3 +72,41 @@ def check_cache(batch, target):
     fresh = target.value_and_grad(batch.z)
     if not all(np.array_equal(f, c) for f, c in zip(fresh, (batch.value, batch.grad))):
         raise AssertionError("cached value/grad out of sync with states")
+
+
+# The statistics fold as it was written before it moved to in-place and
+# single-mask arithmetic; tests require the package's versions to give the
+# same bits on every input, including infinite and NaN ratios.
+
+
+def reference_roundoff_grid_hits(log_accept_ratios) -> int:
+    r = np.asarray(log_accept_ratios, dtype=np.float64).ravel()
+    moderate = np.isfinite(r) & (np.abs(r) < ROUNDOFF_ABS_LIMIT)
+    q = 4.0 * r[moderate]
+    return int((np.abs(q - np.round(q)) < ROUNDOFF_QUARTER_TOL).sum())
+
+
+def reference_accept_probs_from_ratios(log_accept_ratios) -> np.ndarray:
+    r = np.asarray(log_accept_ratios, dtype=np.float64)
+    return np.clip(np.exp(np.minimum(r, 0.0)), 1e-10, 1.0)
+
+
+def reference_harmonic_accept(log_accept_ratios) -> float:
+    p = reference_accept_probs_from_ratios(log_accept_ratios)
+    return float(p.size / (1.0 / p).sum())
+
+
+def reference_welford_update(count, mean, m2, x):
+    """(count, mean, m2) after folding in x."""
+    x = np.asarray(x, dtype=np.float64)
+    n = count + 1
+    delta = x - mean
+    mean = mean + delta / n
+    m2 = m2 + delta * (x - mean)
+    return n, mean, m2
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: NaN payloads and signed zeros count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
