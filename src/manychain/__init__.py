@@ -14,7 +14,7 @@ from .diagnostics import (
     welford_merge,
     welford_update,
 )
-from .gradients import FiniteDifferenceReport, finite_difference_check
+from .gradients import finite_difference_check
 from .model import (
     ConstrainedParams,
     Dataset,
@@ -44,7 +44,6 @@ from .sampler import (
     RunSummary,
     StepOutput,
     TraceSink,
-    WarmupInfo,
     adapt_step_size,
     estimate_diag_mass,
     hmc_step,

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -109,10 +109,6 @@ def initial_states(init_key, num_chains: int, dim: int) -> np.ndarray:
 
 # ---------------------------------------------------------------- file IO
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def write_trace_csv(path, param_names, z_trace, is_accepted, log_accept_ratios):
     """Trace rows grouped by chain: chain, draw, P params, is_accepted (0/1),
     log_accept_ratio. Floats use shortest round-trip formatting: each row is
@@ -134,7 +130,7 @@ def write_trace_csv(path, param_names, z_trace, is_accepted, log_accept_ratios):
 
 def write_diagnostics_json(path, report: diag.DiagnosticsReport):
     with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -142,7 +138,8 @@ def write_bench_csv(path, rows):
     with open(path, "w") as fh:
         fh.write("chains,wall_seconds,draws_per_second\n")
         for r in rows:
-            fh.write(f"{r['chains']},{_fmt(r['wall_seconds'])},{_fmt(r['draws_per_second'])}\n")
+            fh.write(f"{r['chains']},{float(r['wall_seconds'])!r},"
+                     f"{float(r['draws_per_second'])!r}\n")
 
 
 # ---------------------------------------------------------------- sample
@@ -169,10 +166,10 @@ def cmd_sample(args) -> int:
     z0 = initial_states(init_key, args.chains, target.dim)
 
     if args.adapt:
-        config, start, info = warmup_adapt(target, config, z0, warmup_key, args.warmup)
+        config, start, accept = warmup_adapt(target, config, z0, warmup_key, args.warmup)
         warm_note = (
             f"adapted: step_size={config.step_size:.5g} "
-            f"warmup accept(harmonic)={info.final_harmonic_accept:.3f}"
+            f"warmup accept(harmonic)={accept:.3f}"
         )
     else:
         start = run_chains(target, config, z0, warmup_key, args.warmup).final_batch
@@ -269,16 +266,13 @@ def cmd_grad_check(args) -> int:
     data_key, init_key, _, _ = _expand_seed(args.seed)
     if args.states < 1:
         raise UsageError("--states must be positive")
-    if not args.fd_step > 0:
-        raise UsageError("--fd-step must be positive")
+    if not (0.0 < args.fd_step < math.inf):
+        raise UsageError(f"--fd-step must be positive and finite, got {args.fd_step}")
     if not (0.0 < args.threshold < math.inf):
         raise UsageError(f"--threshold must be positive and finite, got {args.threshold}")
     target = build_target(args.model, "double", data_key)
     states = np.asarray(normal(init_key, [args.states, target.dim]))
-    worst = 0.0
-    for i in range(args.states):
-        rep = finite_difference_check(target, states[i], h=args.fd_step)
-        worst = max(worst, rep.max_rel_error)
+    worst = max(finite_difference_check(target, z, h=args.fd_step) for z in states)
     print(f"model={args.model}  states={args.states}  h={args.fd_step:g}")
     print(f"max relative gradient error: {worst:.3e}  (threshold {args.threshold:g})")
     if worst > args.threshold:

@@ -14,7 +14,7 @@ sampler itself used; diagnostics are too cheap to be worth corrupting.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,9 +238,6 @@ class DiagnosticsReport:
     chees: float
     mean_accept_harmonic: float
     roundoff_flag_fraction: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def accept_probs_from_ratios(log_accept_ratios) -> np.ndarray:

@@ -29,8 +29,10 @@ columns of a (D, C) gradient.
 A target (ModelTarget, GaussianTarget) supplies dim, param_names() and one
 hook, evaluate(zb, value, grad): the one evaluation, unchecked, of a (C, P)
 batch at the target's dtype, where a non-finite row gets a non-finite value
-and touches no other row. The sampler calls it inside its own np.errstate;
-the base class Target writes the checked API on it once (log_prob, grad,
+and touches no other row. The sampler calls it inside its own np.errstate,
+for the gradient alone at interior leapfrog steps (the gradient code exists
+once, so it is bitwise the gradient of a value-and-gradient evaluation).
+The base class Target writes the checked API on it once (log_prob,
 value_and_grad, log_prob_ratio), which rejects non-finite states.
 
 Every density value is accumulated in float64, at either working precision:
@@ -41,9 +43,6 @@ total per addition, so the difference of two totals past 2**24 keeps the
 small ratio that a float32 total (spacing 2 or more there) would round
 away. log_prob_ratio, and the sampler's accept ratio, are that float64
 difference. Gradients stay at the working precision.
-
-grad(z) is the gradient alone, bitwise equal to value_and_grad(z)[1]: the
-gradient code exists once and both call it.
 
 A (C, P) batch evaluates as a whole except for the per-observation (C, N)
 pipeline, which runs block_rows rows at a time from row 0, so every row of
@@ -71,7 +70,7 @@ import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, gammaln
@@ -95,7 +94,7 @@ class DatasetError(ValueError):
 
 @dataclass
 class Dataset:
-    """Design matrix x (N, D), binary labels y (N,), feature names.
+    """Design matrix x (N, D) and binary labels y (N,).
 
     true_coef is only populated by the synthetic generator, for checking
     recovery; loaders leave it None.
@@ -103,7 +102,6 @@ class Dataset:
 
     x: np.ndarray
     y: np.ndarray
-    feature_names: list[str] = field(default_factory=list)
     true_coef: np.ndarray | None = None
 
     def __post_init__(self):
@@ -120,8 +118,6 @@ class Dataset:
             raise DatasetError("x contains non-finite values")
         if not np.all((self.y == 0.0) | (self.y == 1.0)):
             raise DatasetError("labels must be 0 or 1")
-        if not self.feature_names:
-            self.feature_names = [f"f{j}" for j in range(d)]
 
     @property
     def num_rows(self) -> int:
@@ -193,7 +189,7 @@ def load_csv_dataset(path) -> Dataset:
     x = x - x.mean(axis=0)
     nz = std > 0.0
     x[:, nz] /= std[nz]
-    return Dataset(x, labels, feature_names=[h.strip() for h in header[:-1]])
+    return Dataset(x, labels)
 
 
 def generate_synthetic(
@@ -230,7 +226,6 @@ def replicate_dataset(dataset: Dataset, k: int) -> Dataset:
     return Dataset(
         np.tile(dataset.x, (k, 1)),
         np.tile(dataset.y, k),
-        feature_names=list(dataset.feature_names),
         true_coef=dataset.true_coef,
     )
 
@@ -309,8 +304,8 @@ class Target:
     """A batched log density over an unconstrained state of dim entries.
 
     A subclass sets dim and supplies param_names() and the one hook,
-    evaluate. The checked API (log_prob, grad, value_and_grad,
-    log_prob_ratio) is written once here on top of it.
+    evaluate. The checked API (log_prob, value_and_grad, log_prob_ratio)
+    is written once here on top of it.
 
     precision selects the arithmetic width of every density and gradient
     evaluation ("double" or "single"); density values are float64 totals
@@ -349,14 +344,6 @@ class Target:
         batch."""
         return self._checked(z, True, False)[0]
 
-    def grad(self, z):
-        """Gradient of log_prob alone, bitwise equal to value_and_grad(z)[1].
-
-        Evaluates no terms (for the regression model, most of the cost of a
-        value), as interior leapfrog steps need.
-        """
-        return self._checked(z, False, True)[1]
-
     def value_and_grad(self, z):
         """Log density and its analytic gradient, one shared evaluation.
 
@@ -368,21 +355,17 @@ class Target:
     def log_prob_ratio(self, z_new, z_old):
         """log p(z_new) - log p(z_old), the difference of two float64 totals.
 
-        A (P,) state is a one-row batch; two (P,) states give a scalar.
+        Two (P,) states give a scalar, two (C, P) batches a (C,) array.
         A dead state (log density -inf) gives -inf as the new state and
         +inf as the old one; two dead states give -inf. The ratio of a state
         with itself is exactly 0.0.
         """
-        zn, zo = np.asarray(z_new), np.asarray(z_old)
-        new, old = (self._checked(z[None] if z.ndim == 1 else z, True, False)[0]
-                    for z in (zn, zo))
-        if new.shape != old.shape:
-            shapes = [(len(v), self.dim) for v in (new, old)]
-            raise ValueError(f"state shapes differ: {shapes[0]} vs {shapes[1]}")
-        # -inf - -inf between two dead states is masked right below
+        new, old = self.log_prob(z_new), self.log_prob(z_old)
+        if np.shape(new) != np.shape(old):
+            raise ValueError(f"state shapes differ: {np.shape(z_new)} vs {np.shape(z_old)}")
+        # -inf - -inf, between two dead states, is NaN until the where masks it
         with np.errstate(invalid="ignore"):
-            ratio = np.where(np.isneginf(new), -np.inf, new - old)
-        return ratio[0] if zn.ndim == zo.ndim == 1 else ratio
+            return np.where(np.isneginf(new), -np.inf, new - old)[()]
 
 
 class ModelTarget(Target):

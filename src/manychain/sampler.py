@@ -431,17 +431,6 @@ def run_chains(
     )
 
 
-@dataclass
-class WarmupInfo:
-    """What the adapted config does not hold; its step_size and mass_diag
-    are the warmup's result. final_harmonic_accept is the mean over the
-    last phase's iterations of each iteration's harmonic accept, the
-    statistic mean_accept_harmonic reports for sampling."""
-
-    phase_steps: tuple[int, int, int]
-    final_harmonic_accept: float
-
-
 class _StepSizeSearch:
     """Warmup sink that adapts its phase's own config copy in place after
     every iteration and keeps each iteration's harmonic accept."""
@@ -472,12 +461,14 @@ def warmup_adapt(
     z_init,
     root_key: RandomKey,
     num_warmup: int,
-) -> tuple[HmcConfig, ChainBatch, WarmupInfo]:
+) -> tuple[HmcConfig, ChainBatch, float]:
     """Three-phase warmup: step-size search under identity mass (15%),
     moment collection for the diagonal mass (70%), step-size re-search under
     the new mass (15%). Each phase is one run_chains call on its own config
-    copy and its own key from split(root_key, 3). Returns the adapted config
-    and the warm batch."""
+    copy and its own key from split(root_key, 3). Returns the adapted config,
+    the warm batch and the final harmonic accept: the mean over the last
+    phase's iterations of each iteration's harmonic accept, the statistic
+    mean_accept_harmonic reports for sampling."""
     if num_warmup < 15:
         raise ValueError(f"adaptive warmup needs at least 15 iterations, got {num_warmup}")
     if config.step_size <= 0.0:
@@ -497,4 +488,4 @@ def warmup_adapt(
     research = _StepSizeSearch(adapted)
     batch = run_chains(target, adapted, batch, k3, n3, sink=research).final_batch
 
-    return adapted, batch, WarmupInfo((n1, n2, n3), float(np.mean(research.harmonic_accepts)))
+    return adapted, batch, float(np.mean(research.harmonic_accepts))

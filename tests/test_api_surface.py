@@ -9,10 +9,16 @@ in src/ only the checked API and the integrator reach the hook.
 A reference is any name, attribute or imported name in the source, so a
 method counts as used when any attribute of its name is read: the check
 finds code that nothing names, and misses a method whose name another
-object's attribute shares."""
+object's attribute shares. The stricter method rule closes that gap: a
+public method needs a call by its name, x.name(...), in src/ or perfbench/,
+or a perfbench string that names it. Every CLI option needs a read by its
+command, or a perfbench command that passes it."""
 
+import argparse
 import ast
 from pathlib import Path
+
+from manychain import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "manychain"
@@ -22,9 +28,9 @@ def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _names(tree, strings=False):
-    """Every identifier the module reads: names, attributes, imported names
-    and, with strings, the dotted words of string constants."""
+def _names(tree):
+    """Every identifier the module reads: names, attributes and imported
+    names."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -33,9 +39,24 @@ def _names(tree, strings=False):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name.rpartition(".")[2])
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.update(node.value.replace(".", " ").split())
     return out
+
+
+def _words(tree):
+    """The dotted words of the module's string constants."""
+    return {word for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for word in node.value.replace(".", " ").split()}
+
+
+def _called(tree):
+    """The attribute names the module calls, as x.name(...)."""
+    return {node.func.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+
+
+def _bench_trees():
+    return [_tree(p) for p in sorted((ROOT / "perfbench").glob("*.py"))]
 
 
 def _public_definitions(tree):
@@ -55,8 +76,7 @@ def test_every_public_definition_has_a_caller_an_export_or_a_benchmark_use():
     modules = {p: _tree(p) for p in sorted(PACKAGE.glob("*.py"))}
     exported = _names(modules[PACKAGE / "__init__.py"])
     used = set().union(*(_names(t) for p, t in modules.items() if p.name != "__init__.py"))
-    bench = set().union(*(_names(_tree(p), strings=True)
-                          for p in sorted((ROOT / "perfbench").glob("*.py"))))
+    bench = set().union(*(_names(t) | _words(t) for t in _bench_trees()))
     unused = [
         f"{path.name}:{qualname}"
         for path, tree in modules.items()
@@ -64,6 +84,55 @@ def test_every_public_definition_has_a_caller_an_export_or_a_benchmark_use():
         if name not in used | exported | bench
     ]
     assert not unused, f"public definitions nothing runs: {unused}"
+
+
+def _is_property(node):
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+
+
+def test_every_public_method_is_called():
+    """A public method of a public class in src/ is called by its name,
+    x.name(...), in src/ or perfbench/, or a perfbench string names it (as
+    the tracer's metric names do). A field or variable of the same name,
+    such as batch.grad, is not a call. Properties are read, not called, and
+    are left to the rule above."""
+    modules = {p: _tree(p) for p in sorted(PACKAGE.glob("*.py"))}
+    bench = _bench_trees()
+    called = set().union(*map(_called, [*modules.values(), *bench]), *map(_words, bench))
+    uncalled = [
+        f"{path.name}:{node.name}.{item.name}"
+        for path, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+        and not _is_property(item) and item.name not in called
+    ]
+    assert not uncalled, f"public methods nothing calls: {uncalled}"
+
+
+def test_every_cli_option_is_read():
+    """Every argument of every subcommand is read as args.<dest> by the
+    command the subcommand runs, or passed by a perfbench/ command. sample's
+    --stable-ratio selects nothing and no command reads it; it passes only
+    because the regression-f32-stable workload passes it, and it goes once
+    that workload's command drops it."""
+    commands = {node.name: node for node in _tree(PACKAGE / "cli.py").body
+                if isinstance(node, ast.FunctionDef)}
+    bench = set().union(*map(_words, _bench_trees()))
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, sub in subparsers.choices.items():
+        command = commands[sub.get_default("func").__name__]
+        read = {node.attr for node in ast.walk(command)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"}
+        unread += [f"{name} {action.dest}" for action in sub._actions
+                   if action.dest != "help" and action.dest not in read
+                   and not bench.intersection(action.option_strings)]
+    assert subparsers.choices, "no subcommand, so nothing was checked"
+    assert not unread, f"options no command reads: {unread}"
 
 
 def test_every_private_definition_is_named_in_src():

@@ -219,8 +219,10 @@ def test_grad_check_exit_codes(capsys, monkeypatch):
         raise AssertionError("built the target before checking the flags")
 
     monkeypatch.setattr(cli, "build_target", no_target)
-    for flag, value in (("--states", "0"), ("--fd-step", "nan"), ("--threshold", "nan")):
+    for flag, value in (("--states", "0"), ("--fd-step", "nan"), ("--fd-step", "inf"),
+                        ("--threshold", "nan")):
         assert main(["grad-check", "synthetic:200000,40,0.5", flag, value]) == 2
+    assert "--fd-step must be positive and finite, got inf" in capsys.readouterr().err
 
 
 def test_bench_chains_csv(tmp_path, capsys):

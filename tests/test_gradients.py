@@ -35,7 +35,7 @@ def test_finite_difference_gaussian():
     worst = 0.0
     for i in range(20):
         z = np.asarray(normal(split(key, 20)[i], [10]))
-        worst = max(worst, finite_difference_check(g, z, h=1e-2).max_rel_error)
+        worst = max(worst, finite_difference_check(g, z, h=1e-2))
     assert worst < 1e-8
 
 
@@ -47,7 +47,7 @@ def test_finite_difference_sparse_regression():
     states = 0.8 * np.asarray(normal(k_states, [20, target.dim]))
     worst = 0.0
     for i in range(20):
-        worst = max(worst, finite_difference_check(target, states[i]).max_rel_error)
+        worst = max(worst, finite_difference_check(target, states[i]))
     assert worst < 1e-5
 
 
@@ -69,18 +69,15 @@ def test_non_finite_derivative_is_an_infinite_error():
     g = GaussianTarget(3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = finite_difference_check(g, np.array([0.5, -1.0, 2.0]), h=1e308)
-    assert not np.isfinite(rep.numeric).any()
-    assert np.all(rep.rel_error == np.inf) and rep.max_rel_error == np.inf
+        worst = finite_difference_check(g, np.array([0.5, -1.0, 2.0]), h=1e308)
+    assert worst == np.inf
 
     class InfGradient(GaussianTarget):
         def value_and_grad(self, z):
             value, grad = super().value_and_grad(z)
             return value, np.full_like(grad, np.inf)
 
-    rep = finite_difference_check(InfGradient(2), np.array([0.3, 0.1]))
-    assert np.isfinite(rep.numeric).all()
-    assert rep.max_rel_error == np.inf
+    assert finite_difference_check(InfGradient(2), np.array([0.3, 0.1])) == np.inf
 
 
 def test_gradient_line_integral_recovers_density_change():

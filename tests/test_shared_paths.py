@@ -88,11 +88,11 @@ def test_warmup_adapt_matches_the_three_phase_loop(threads, precision):
     cfg = HmcConfig(step_size=0.1, num_leapfrog_steps=3)
 
     eps, mass, want, hm = three_phase_loop(target, cfg, z0, k_warm, 40)
-    adapted, got, info = warmup_adapt(target, cfg, z0, k_warm, 40)
+    adapted, got, accept = warmup_adapt(target, cfg, z0, k_warm, 40)
 
     assert adapted.step_size == eps
     assert same_bits(adapted.mass_diag, mass)
-    assert info.final_harmonic_accept == hm
+    assert accept == hm
     assert cfg.step_size == 0.1 and cfg.mass_diag is None  # the caller's config is untouched
     for field in ("z", "value", "grad"):
         assert same_bits(getattr(got, field), getattr(want, field))

@@ -25,7 +25,7 @@ from manychain.cli import main
 from manychain.model import ModelTarget, _bernoulli_terms, _sign_residuals, generate_synthetic
 from manychain.prng import key_from_seed, normal, split
 from manychain.sampler import HmcConfig, run_chains
-from testkit import check_cache
+from testkit import check_cache, grad_only
 
 CHAIN_COUNTS = [1, 15, 16, 17, 32, 33, 48, 64, 256]
 
@@ -117,7 +117,7 @@ def test_panels_match_the_row_major_pipeline(rows, features):
         z = z_all[:chains]
         want = row_major.value_and_grad(z)
         got = panels.value_and_grad(z)
-        got_grad = panels.grad(z)
+        got_grad = grad_only(panels, z)
         exact = (chains % panels.block_rows) % 8 in EXACT_EDGES
         exact_grad = exact and features % 8 in EXACT_EDGES
         for w, g, bitwise in zip(want, got, (exact, exact_grad)):
@@ -139,26 +139,27 @@ def test_batch_is_bitwise_its_blocks(precision, chains):
     blocks = blockwise(target.value_and_grad, z, rows)
     for w, b in zip(whole, blocks):
         assert same_bits(w, b)
-    assert same_bits(target.grad(z), blockwise(target.grad, z, rows))
+    grad = functools.partial(grad_only, target)
+    assert same_bits(grad(z), blockwise(grad, z, rows))
     assert same_bits(target.log_prob(z), blockwise(target.log_prob, z, rows))
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
 def test_rows_are_their_blocks_at_every_chain_count(precision):
     """At every C from 1 to 40, each row of a batch's value_and_grad and
-    grad is bitwise that row computed from its block_rows-row block alone,
-    at one thread and at two."""
+    gradient-only evaluation is bitwise that row computed from its
+    block_rows-row block alone, at one thread and at two."""
     one, two = regression_target(precision), regression_target(precision, 2)
     rows = one.block_rows
     z_all = 0.3 * np.asarray(normal(key_from_seed(40), [40, one.dim]))
     for chains in range(1, 41):
         z = z_all[:chains]
         want = blockwise(one.value_and_grad, z, rows)
-        want_grad = blockwise(one.grad, z, rows)
+        want_grad = blockwise(functools.partial(grad_only, one), z, rows)
         for target in (one, two):
             for w, g in zip(want, target.value_and_grad(z)):
                 assert same_bits(w, g), (chains, target.threads)
-            assert same_bits(want_grad, target.grad(z)), (chains, target.threads)
+            assert same_bits(want_grad, grad_only(target, z)), (chains, target.threads)
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
@@ -182,7 +183,7 @@ def test_threads_give_the_one_thread_bits(precision, threads, chains):
     z = 0.3 * np.asarray(normal(key_from_seed(chains), [chains, one.dim]))
     for w, t in zip(one.value_and_grad(z), many.value_and_grad(z)):
         assert same_bits(w, t)
-    assert same_bits(one.grad(z), many.grad(z))
+    assert same_bits(grad_only(one, z), grad_only(many, z))
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
@@ -196,7 +197,7 @@ def test_concurrent_callers_get_the_one_thread_bits(precision, threads):
     start = threading.Barrier(len(zs))
 
     def evaluate(target, z):
-        return target.grad(z), *target.value_and_grad(z)
+        return grad_only(target, z), *target.value_and_grad(z)
 
     def hammer(z):
         start.wait(timeout=60)
@@ -232,7 +233,7 @@ def test_warm_evaluations_allocate_no_panels(precision, threads):
     target = wide_target(precision, threads)
     panel = len(target._xs) * target.block_rows * target._xs.itemsize
     z = 0.3 * np.asarray(normal(key_from_seed(7), [64, target.dim]))
-    for evaluate in (target.grad, target.value_and_grad):
+    for evaluate in (functools.partial(grad_only, target), target.value_and_grad):
         evaluate(z)  # every evaluating thread allocates its scratch once
         tracemalloc.start()
         try:
@@ -256,8 +257,8 @@ def test_pool_workers_raise_no_warnings(precision):
     z[1::2, 1 + one.num_features :] = 1e3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = two.value_and_grad(z) + (two.grad(z),)
-    want = one.value_and_grad(z) + (one.grad(z),)
+        got = two.value_and_grad(z) + (grad_only(two, z),)
+    want = one.value_and_grad(z) + (grad_only(one, z),)
     for w, g in zip(want, got):
         assert same_bits(w, g)
 

@@ -1,5 +1,6 @@
 """Readers for the files the CLI writes, a cache check for chain batches,
-and plain reference copies of the statistics fold. The package only writes
+the gradient-only evaluation the sampler's interior leapfrog steps run, and
+plain reference copies of the statistics fold. The package only writes
 these files and never reads them back, so the readers live with the tests
 that do."""
 
@@ -72,6 +73,17 @@ def check_cache(batch, target):
     fresh = target.value_and_grad(batch.z)
     if not all(np.array_equal(f, c) for f, c in zip(fresh, (batch.value, batch.grad))):
         raise AssertionError("cached value/grad out of sync with states")
+
+
+def grad_only(target, z):
+    """The gradient alone, as interior leapfrog steps evaluate it: the hook
+    target.evaluate(zb, False, True) on a (P,) state or (C, P) batch cast to
+    the target's dtype; a (P,) state's gradient comes back unbatched."""
+    z = np.asarray(z, dtype=target.dtype)
+    zb = z[None, :] if z.ndim == 1 else z
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = target.evaluate(zb, False, True)[1]
+    return grad[0] if z.ndim == 1 else grad
 
 
 # The statistics fold as it was written before it moved to in-place and
