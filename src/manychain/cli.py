@@ -253,8 +253,10 @@ def cmd_bench_chains(args) -> int:
             row = {"chains": c, "wall_seconds": float("nan"),
                    "draws_per_second": float("nan")}
         rows.append(row)
+        # the workers that evaluated this count: a batch of one block runs on one
+        workers = len(target.block_groups(c)) if isinstance(target, ModelTarget) else 1
         print(f"chains={row['chains']:>5}  wall={row['wall_seconds']:.3f}s  "
-              f"throughput={row['draws_per_second']:.0f} draws/s")
+              f"throughput={row['draws_per_second']:.0f} draws/s  workers={workers}")
     write_bench_csv(args.output, rows)
     print(f"wrote {args.output}")
     return 0
@@ -442,8 +444,9 @@ def cmd_precision_demo(args) -> int:
 # ---------------------------------------------------------------- parser
 
 THREADS_HELP = ("workers for the regression likelihood's row blocks (16 rows in double "
-                "precision, 32 in single; a Gaussian model runs on one thread); outputs "
-                "are byte-identical at any count")
+                "precision, 32 in single), each running its blocks in stacks of up to "
+                "4 at 1000 rows; a batch of one block, or a Gaussian model, runs on one "
+                "thread; outputs are byte-identical at any count")
 
 
 def build_parser() -> argparse.ArgumentParser:

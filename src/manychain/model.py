@@ -53,14 +53,24 @@ product with fewer rows (the last block, when C is not a multiple of
 block_rows) may round a row differently from a full block, so a chain's
 bits can change with the number of chains beside it. This is also the one
 place threads act: ModelTarget(threads=T) hands contiguous groups of the
-blocks to at most T workers, the calling thread and T - 1 pool workers,
-and each group writes its own rows, so no row's bits depend on T. Each
-thread writes its blocks' margins, residuals and terms into two (N,
-block_rows) scratch panels of its own, allocated on its first evaluation,
-and sums each block's terms panel by columns into the block's rows of the
-float64 total, with one gemv against a ones vector (in single precision
-from a float64 copy of the panel, a third scratch panel). A warm
-evaluation allocates only its outputs and its (C, .) arrays.
+blocks to at most T workers, the calling thread and T - 1 pool workers
+(block_groups), and each group writes its own rows, so no row's bits depend
+on T. A worker runs its full blocks in stacks of up to stack_blocks blocks,
+STACK_BYTES of panel each, and a short last block as a stack of one at its
+own width. A stack is one numpy call per step (the margins matmul, the
+residual and Bernoulli passes, the residual matmul, the terms' column sums)
+over a (k, N, b) panel. numpy makes one BLAS call per block inside such a
+call, with the GIL released throughout, so every row keeps the bits of its
+block alone while a worker takes the GIL once per step, not once per block;
+that is what lets two workers' products overlap. Each thread writes its
+stacks' margins, residuals and terms into two stack-sized scratch panels of
+its own, allocated on its first evaluation, and sums each block's terms
+panel by columns into the block's rows of the float64 total, with one gemv
+against a ones vector (in single precision from a float64 copy of the
+panel, a third scratch panel). The calling thread also keeps its (C, .)
+coefficient, gradient and likelihood buffers, padded to whole blocks, with
+each worker's stack views over them, until C changes. A warm evaluation
+allocates only its outputs and its other (C, .) arrays.
 """
 
 from __future__ import annotations
@@ -71,6 +81,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, gammaln
@@ -82,6 +93,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # bytes of each observation's panel row per block: 16 float64 rows, 32
 # float32; fixed per dtype so no row's bits depend on how threads group blocks
 BLOCK_BYTES = 128
+
+# bytes of a stacked panel, STACK_BYTES // (N * BLOCK_BYTES) full blocks (at
+# least one) that a worker runs per numpy call: 4 blocks at N = 1000, 512 KiB
+# for each of the margins and work panels, which stay in a 2 MiB L2
+STACK_BYTES = 512 * 1024
 
 # shape and rate of the Gamma prior on tau and on every lamb
 GAMMA_SHAPE = 0.5
@@ -275,11 +291,17 @@ def _bernoulli_terms(margins, out=None, scratch=None):
     return np.subtract(hard, soft, out=out)
 
 
-@functools.cache
-def _blocks(num_rows: int, block_rows: int) -> tuple[slice, ...]:
-    """Row slices of block_rows rows from row 0; the last may be shorter."""
-    return tuple(slice(lo, min(lo + block_rows, num_rows))
-                 for lo in range(0, num_rows, block_rows))
+class _Layout(NamedTuple):
+    """A calling thread's (C, .) buffers for batches of c chains and each
+    worker's stacks over them (see ModelTarget._layout): coefs_t a (D, c)
+    and g, the gradient's likelihood part, a (c, D) view of (D, padded)
+    buffers, and lik a (c,) view."""
+
+    c: int
+    coefs_t: np.ndarray
+    g: np.ndarray
+    lik: np.ndarray
+    groups: list
 
 
 @functools.cache
@@ -400,24 +422,75 @@ class ModelTarget(Target):
         self._gamma_a, self._gamma_r = self.dtype(GAMMA_SHAPE), self.dtype(GAMMA_RATE)
         self._half = self.dtype(0.5)
         self.block_rows = BLOCK_BYTES // self._xs.itemsize
+        self.stack_blocks = max(1, STACK_BYTES // (len(self._xs) * BLOCK_BYTES))
         self._ones = np.ones(len(self._xs))  # sums a float64 terms panel by columns
         self._scratch = threading.local()
 
+    def block_groups(self, chains: int) -> list[range]:
+        """The blocks of a batch of chains states that each worker runs: at
+        most threads contiguous ranges of block indices, all of one length
+        but the last. The calling thread runs the first, the pool the rest."""
+        blocks = -(-chains // self.block_rows)
+        share = -(-blocks // self.threads) or 1
+        return [range(lo, min(lo + share, blocks)) for lo in range(0, blocks, share)]
+
     def _panels(self):
-        """This thread's (N, b) views of its scratch panels, indexed by block
-        width b: (margins, work, wide). wide holds the float64 terms the
-        block sums: work itself in double precision, a third panel in
-        single. The panels are allocated on the thread's first call."""
+        """This thread's views of its scratch panels, keyed by the rows of a
+        stack: (margins, work, wide), each (k, N, b) for a stack of k > 1
+        full blocks and (N, b) for a lone block of b rows, which then costs
+        what a 2-D product costs. wide holds the float64 terms the stack
+        sums: work itself in double precision, a third panel in single. The
+        panels are allocated on the thread's first call."""
         try:
             return self._scratch.panels
         except AttributeError:
-            n, rows = len(self._xs), self.block_rows
-            margins, work = np.empty((2, n * rows), dtype=self.dtype)
-            wide = work if self.dtype == np.float64 else np.empty(n * rows)
-            panels = [None] + [tuple(buf[: n * b].reshape(n, b) for buf in (margins, work, wide))
-                               for b in range(1, rows + 1)]
+            n, b, k = len(self._xs), self.block_rows, self.stack_blocks
+            margins, work = np.empty((2, k * n * b), dtype=self.dtype)
+            wide = work if self.dtype == np.float64 else np.empty(k * n * b)
+            shapes = {w: (n, w) for w in range(1, b + 1)} | {
+                j * b: (j, n, b) for j in range(2, k + 1)}
+            panels = {rows: tuple(buf[: n * rows].reshape(shape) for buf in (margins, work, wide))
+                      for rows, shape in shapes.items()}
             self._scratch.panels = panels
             return panels
+
+    def _layout(self, c: int) -> _Layout:
+        """This thread's _Layout for c chains, rebuilt when c changes.
+
+        Its (D, C) and (C,) buffers are padded to whole blocks, so a stack
+        of blocks is a plain slice of a (blocks, D, b) or (blocks, b) view of
+        them. Each group of block_groups(c) becomes a list of stacks
+        (coefs, g, lik, rows): the (k, D, b) coefficient panels the stack's
+        margins read, the (k, D, b) gradient columns and (k, b) likelihood
+        rows it writes, and its row count, the key of its scratch panels.
+        Runs of full blocks are cut into stacks of stack_blocks; a short last
+        block is a stack of one at its own width. A stack of one is given as
+        2-D views, (D, b), (D, b) and (b,)."""
+        layout = getattr(self._scratch, "layout", None)
+        if layout is not None and layout.c == c:
+            return layout
+        d, b, k = self.num_features, self.block_rows, self.stack_blocks
+        full, tail = divmod(c, b)
+        pad = -(-c // b) * b
+        coefs_t, g_t = np.empty((2, d, pad), dtype=self.dtype)
+        lik = np.empty(pad)
+        coefs_s, g_s = (a.reshape(d, -1, b).transpose(1, 0, 2) for a in (coefs_t, g_t))
+        lik_s = lik.reshape(-1, b)
+
+        def stack(lo, hi, width):
+            at = lo if hi - lo == 1 else slice(lo, hi)
+            return coefs_s[at, :, :width], g_s[at, :, :width], lik_s[at, :width], (hi - lo) * width
+
+        groups = []
+        for blocks in self.block_groups(c) or [range(0)]:
+            stop = min(blocks.stop, full)
+            stacks = [stack(lo, min(lo + k, stop), b) for lo in range(blocks.start, stop, k)]
+            if tail and full in blocks:
+                stacks.append(stack(full, full + 1, tail))
+            groups.append(stacks)
+        layout = _Layout(c, coefs_t[:, :c], g_t[:, :c].T, lik[:c], groups)
+        self._scratch.layout = layout
+        return layout
 
     def param_names(self) -> list[str]:
         d = self.num_features
@@ -435,48 +508,44 @@ class ModelTarget(Target):
         grad is the analytic gradient.
 
         The per-observation pipeline (margins, Bernoulli terms, residuals
-        times x) runs block by block, each block of b states as an (N, b)
+        times x) runs stack by stack, each block of b states as an (N, b)
         panel that stays in cache: margins xs @ coefs.T, the residual
         product xs.T @ residuals into the block's columns of a (D, C)
         gradient, and the terms panel's column sums, ones @ terms in
-        float64, into the block's rows of the likelihood total. The margins,
-        the residuals and the terms are written into the evaluating thread's
-        scratch panels, never into fresh arrays.
+        float64, into the block's rows of the likelihood total. A stack of
+        k blocks is one numpy call per step over a (k, N, b) panel, which
+        makes one BLAS call per block with the GIL released throughout.
+        The margins, the residuals and the terms are written into the
+        evaluating thread's scratch panels, never into fresh arrays.
         """
         c, d = len(zb), self.num_features
         # u = [u_tau, u_lamb], the log scales, adjacent in the state
         u, beta = zb[:, : 1 + d], zb[:, 1 + d :]
         a, r = self._gamma_a, self._gamma_r
-        total = np.empty(c) if value else None
-        g_t = np.empty((d, c), dtype=self.dtype) if grad else None
-        out = None
+        layout = self._layout(c)
+        total = out = None
         # overflow to inf is fine, and the caller silences it: an overflowed
         # scale is dead by prior and the whole state is masked
         scale = np.exp(u[:, :1] + u[:, 1:])  # tau * lamb in one exp
         coefs = scale * beta
-        coefs_t = np.ascontiguousarray(coefs.T)  # (D, C): a block is its columns
+        layout.coefs_t[...] = coefs.T  # (D, C): a block is its columns
         exp_u = np.exp(u)  # [tau, lamb], shared by the terms and the gradient
 
-        def pipeline(blocks):
+        def pipeline(stacks):
             panels = self._panels()
-            for rows in blocks:
-                margins, work, wide = panels[rows.stop - rows.start]
-                np.matmul(self._xs, coefs_t[:, rows], out=margins)
+            for coefs_s, g_s, lik_s, rows in stacks:
+                margins, work, wide = panels[rows]
+                np.matmul(self._xs, coefs_s, out=margins)
                 if grad:
-                    np.matmul(self._xs_t, _sign_residuals(margins, out=work),
-                              out=g_t[:, rows])
+                    np.matmul(self._xs_t, _sign_residuals(margins, out=work), out=g_s)
                 if value:  # last: it overwrites the margins
                     _bernoulli_terms(margins, out=work, scratch=work)
                     if wide is not work:
                         np.copyto(wide, work)
-                    np.matmul(self._ones, wide, out=total[rows])
+                    np.matmul(self._ones, wide, out=lik_s)
 
-        blocks = _blocks(c, self.block_rows)
-        # blocks per group; 1 for an empty batch, so the range step is positive
-        share = -(-len(blocks) // self.threads) or 1
-        jobs = [_pool(self.threads).submit(pipeline, blocks[lo : lo + share])
-                for lo in range(share, len(blocks), share)]
-        pipeline(blocks[:share])
+        jobs = [_pool(self.threads).submit(pipeline, stacks) for stacks in layout.groups[1:]]
+        pipeline(layout.groups[0])
         for job in jobs:
             job.result()
         if value:
@@ -484,11 +553,11 @@ class ModelTarget(Target):
             prior_terms[:, : 1 + d] = self._gamma_const + a * u - r * exp_u
             prior_terms[:, 1 + d :] = self._normal_const - self._half * beta * beta
             prior = prior_terms.sum(axis=1, dtype=np.float64)
-            total += prior
+            total = layout.lik + prior
             # a scale that overflowed exp() is dead by prior; never report NaN
             total[~np.isfinite(prior)] = -np.inf
         if grad:
-            g = g_t.T
+            g = layout.g
             coefs_g = np.multiply(coefs, g, out=coefs)
             out = np.empty_like(zb)
             head, tail = out[:, : 1 + d], out[:, 1 + d :]

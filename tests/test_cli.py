@@ -235,12 +235,25 @@ def test_bench_chains_csv(tmp_path, capsys):
             "--draws-per-chain", "8", "--threads", threads, "--output", str(out),
         ])
         assert rc == 0
-        assert f"threads={shown}\n" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert f"threads={shown}\n" in printed
+        # a batch of at most one 16-row block is never split over workers
+        assert printed.count("workers=1\n") == 3
         rows = read_bench_csv(out)
         assert [r["chains"] for r in rows] == [1, 2, 4]
         for r in rows:
             assert r["wall_seconds"] > 0
             assert r["draws_per_second"] > 0
+
+
+def test_bench_chains_prints_the_workers_each_count_used(tmp_path, capsys):
+    """workers=W is the number of block groups the evaluation runs: one
+    until a batch holds two 16-row blocks, then up to --threads."""
+    assert main(["bench-chains", "synthetic:40,3,0.5", "--chain-list", "1,16,17,256",
+                 "--draws-per-chain", "2", "--threads", "2",
+                 "--output", str(tmp_path / "bench.csv")]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("chains=")]
+    assert [ln.rsplit("workers=", 1)[1] for ln in lines] == ["1", "1", "2", "2"]
 
 
 def test_bench_chains_usage_errors():

@@ -69,7 +69,8 @@ class RowMajorTarget(ModelTarget):
             scale = np.exp(u[:, :1] + u[:, 1:])
             coefs = scale * beta
             exp_u = np.exp(u)
-            for rows in model._blocks(c, self.block_rows):
+            for lo in range(0, c, self.block_rows):
+                rows = slice(lo, lo + self.block_rows)
                 margins = coefs[rows] @ self._xs_t
                 if value:
                     _bernoulli_terms(margins, out=t[rows])
@@ -144,19 +145,32 @@ def test_batch_is_bitwise_its_blocks(precision, chains):
     assert same_bits(target.log_prob(z), blockwise(target.log_prob, z, rows))
 
 
+def stack_edges(target):
+    """Every chain count beside a stack boundary, k * b - 1, k * b and
+    k * b + 1 for k up to 2 * stack_blocks + 1, so one- and multi-thread
+    groups hold several stacks and a short last block."""
+    b, k = target.block_rows, target.stack_blocks
+    return sorted({j * b + e for j in range(1, 2 * k + 2) for e in (-1, 0, 1)})
+
+
 @pytest.mark.parametrize("precision", ["double", "single"])
 def test_rows_are_their_blocks_at_every_chain_count(precision):
-    """At every C from 1 to 40, each row of a batch's value_and_grad and
-    gradient-only evaluation is bitwise that row computed from its
-    block_rows-row block alone, at one thread and at two."""
-    one, two = regression_target(precision), regression_target(precision, 2)
+    """At every C from 1 to 40 and at every C beside a stack boundary, each
+    row of a batch's value_and_grad and gradient-only evaluation is bitwise
+    that row computed from its block_rows-row block alone, at one, two and
+    three threads. A stack computed as one gemm over all its blocks would
+    round the gradient's residual product differently."""
+    targets = [regression_target(precision, threads) for threads in (1, 2, 3)]
+    one = targets[0]
     rows = one.block_rows
-    z_all = 0.3 * np.asarray(normal(key_from_seed(40), [40, one.dim]))
-    for chains in range(1, 41):
+    counts = sorted(set(range(1, 41)) | set(stack_edges(one)))
+    assert one.stack_blocks == 4 and counts[-1] == 9 * rows + 1
+    z_all = 0.3 * np.asarray(normal(key_from_seed(40), [counts[-1], one.dim]))
+    for chains in counts:
         z = z_all[:chains]
         want = blockwise(one.value_and_grad, z, rows)
         want_grad = blockwise(functools.partial(grad_only, one), z, rows)
-        for target in (one, two):
+        for target in targets:
             for w, g in zip(want, target.value_and_grad(z)):
                 assert same_bits(w, g), (chains, target.threads)
             assert same_bits(want_grad, grad_only(target, z)), (chains, target.threads)
@@ -226,11 +240,16 @@ def wide_target(precision, threads):
 
 @pytest.mark.parametrize("precision", ["double", "single"])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_warm_evaluations_allocate_no_panels(precision, threads):
+@pytest.mark.parametrize("make", [wide_target, regression_target])
+def test_warm_evaluations_allocate_no_panels(make, precision, threads):
     """A warm evaluation allocates its outputs and (C, .) arrays, never a
-    per-block (N, b) temporary: its traced peak stays below one (N,
-    block_rows) panel above the outputs it returns."""
-    target = wide_target(precision, threads)
+    per-block or per-stack (N, b) temporary: its traced peak stays below one
+    (N, block_rows) panel above the outputs it returns. The 4000-row
+    target's stacks hold one block; at 64 chains the 1000-row target runs
+    one stack of four float64 blocks or two float32 blocks."""
+    target = make(precision, threads)
+    if make is wide_target:
+        assert target.stack_blocks == 1
     panel = len(target._xs) * target.block_rows * target._xs.itemsize
     z = 0.3 * np.asarray(normal(key_from_seed(7), [64, target.dim]))
     for evaluate in (functools.partial(grad_only, target), target.value_and_grad):
@@ -301,10 +320,12 @@ def test_check_cache_holds_after_a_run(precision, chains):
     check_cache(summary.final_batch, target)
 
 
-@pytest.mark.parametrize("chains", [64, 100])
-def test_sample_writes_the_same_bytes_at_any_thread_count(tmp_path, chains):
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("chains", [64, 100, 300])
+def test_sample_writes_the_same_bytes_at_any_thread_count(tmp_path, chains, precision):
     args = ["sample", "synthetic:1000,24,0.25", "--chains", str(chains), "--draws", "8",
-            "--warmup", "15", "--leapfrog-steps", "3", "--step-size", "0.05", "--seed", "21"]
+            "--warmup", "15", "--leapfrog-steps", "3", "--step-size", "0.05", "--seed", "21",
+            "--precision", precision]
     outs = []
     for threads in ("1", "2", "3"):
         out = tmp_path / f"t{threads}"
