@@ -57,20 +57,23 @@ blocks to at most T workers, the calling thread and T - 1 pool workers
 (block_groups), and each group writes its own rows, so no row's bits depend
 on T. A worker runs its full blocks in stacks of up to stack_blocks blocks,
 STACK_BYTES of panel each, and a short last block as a stack of one at its
-own width. A stack is one numpy call per step (the margins matmul, the
-residual and Bernoulli passes, the residual matmul, the terms' column sums)
-over a (k, N, b) panel. numpy makes one BLAS call per block inside such a
-call, with the GIL released throughout, so every row keeps the bits of its
-block alone while a worker takes the GIL once per step, not once per block;
-that is what lets two workers' products overlap. Each thread writes its
-stacks' margins, residuals and terms into two stack-sized scratch panels of
-its own, allocated on its first evaluation, and sums each block's terms
-panel by columns into the block's rows of the float64 total, with one gemv
-against a ones vector (in single precision from a float64 copy of the
-panel, a third scratch panel). The calling thread also keeps its (C, .)
-coefficient, gradient and likelihood buffers, padded to whole blocks, with
-each worker's stack views over them, until C changes. A warm evaluation
-allocates only its outputs and its other (C, .) arrays.
+own width. A stack of k blocks of w rows is one numpy call per step (the
+margins matmul, the residual and Bernoulli passes, the residual matmul, the
+terms' column sums) over a (k, N, w) panel, a lone block included. numpy
+makes one BLAS call per block inside such a call, with the GIL released
+throughout, so every row keeps the bits of its block alone while a worker
+takes the GIL once per step, not once per block; that is what lets two
+workers' products overlap. The scratch belongs to the calling thread's
+layout for its chain count C (ModelTarget._stacks), kept until C changes:
+an unpadded (2, D, C) coefficient and gradient buffer, and for each group
+its stacks, with (k, D, w) views of the buffer's columns and margins, work
+and (in single precision) float64 terms panels cut from scratch the group
+owns, sized for its largest stack. A stack writes its margins, residuals
+and terms there and sums each block's terms panel by columns into the
+block's rows of a fresh float64 total, with one gemv against a ones vector.
+Pool workers hold nothing but their error state, and concurrent callers
+each own their layout. A warm evaluation allocates only its outputs and its
+other (C, .) arrays.
 """
 
 from __future__ import annotations
@@ -81,7 +84,6 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, gammaln
@@ -291,19 +293,6 @@ def _bernoulli_terms(margins, out=None, scratch=None):
     return np.subtract(hard, soft, out=out)
 
 
-class _Layout(NamedTuple):
-    """A calling thread's (C, .) buffers for batches of c chains and each
-    worker's stacks over them (see ModelTarget._layout): coefs_t a (D, c)
-    and g, the gradient's likelihood part, a (c, D) view of (D, padded)
-    buffers, and lik a (c,) view."""
-
-    c: int
-    coefs_t: np.ndarray
-    g: np.ndarray
-    lik: np.ndarray
-    groups: list
-
-
 @functools.cache
 def _pool(threads: int) -> ThreadPoolExecutor:
     """The process's threads - 1 helper workers for ModelTarget(threads=...).
@@ -395,9 +384,9 @@ class ModelTarget(Target):
 
     Data are stored at the precision's width. threads spreads the
     per-observation pipeline's row blocks over that many workers; the
-    results do not depend on it. Every thread that evaluates keeps its own
-    scratch panels, so one target may be evaluated from several threads
-    at once.
+    results do not depend on it. Every calling thread keeps its own layout
+    and scratch, so one target may be evaluated from several threads at
+    once.
     """
 
     def __init__(self, dataset: Dataset, precision: str = "double", threads: int = 1):
@@ -434,63 +423,41 @@ class ModelTarget(Target):
         share = -(-blocks // self.threads) or 1
         return [range(lo, min(lo + share, blocks)) for lo in range(0, blocks, share)]
 
-    def _panels(self):
-        """This thread's views of its scratch panels, keyed by the rows of a
-        stack: (margins, work, wide), each (k, N, b) for a stack of k > 1
-        full blocks and (N, b) for a lone block of b rows, which then costs
-        what a 2-D product costs. wide holds the float64 terms the stack
-        sums: work itself in double precision, a third panel in single. The
-        panels are allocated on the thread's first call."""
-        try:
-            return self._scratch.panels
-        except AttributeError:
-            n, b, k = len(self._xs), self.block_rows, self.stack_blocks
-            margins, work = np.empty((2, k * n * b), dtype=self.dtype)
-            wide = work if self.dtype == np.float64 else np.empty(k * n * b)
-            shapes = {w: (n, w) for w in range(1, b + 1)} | {
-                j * b: (j, n, b) for j in range(2, k + 1)}
-            panels = {rows: tuple(buf[: n * rows].reshape(shape) for buf in (margins, work, wide))
-                      for rows, shape in shapes.items()}
-            self._scratch.panels = panels
-            return panels
-
-    def _layout(self, c: int) -> _Layout:
-        """This thread's _Layout for c chains, rebuilt when c changes.
-
-        Its (D, C) and (C,) buffers are padded to whole blocks, so a stack
-        of blocks is a plain slice of a (blocks, D, b) or (blocks, b) view of
-        them. Each group of block_groups(c) becomes a list of stacks
-        (coefs, g, lik, rows): the (k, D, b) coefficient panels the stack's
-        margins read, the (k, D, b) gradient columns and (k, b) likelihood
-        rows it writes, and its row count, the key of its scratch panels.
-        Runs of full blocks are cut into stacks of stack_blocks; a short last
-        block is a stack of one at its own width. A stack of one is given as
-        2-D views, (D, b), (D, b) and (b,)."""
-        layout = getattr(self._scratch, "layout", None)
-        if layout is not None and layout.c == c:
-            return layout
-        d, b, k = self.num_features, self.block_rows, self.stack_blocks
-        full, tail = divmod(c, b)
-        pad = -(-c // b) * b
-        coefs_t, g_t = np.empty((2, d, pad), dtype=self.dtype)
-        lik = np.empty(pad)
-        coefs_s, g_s = (a.reshape(d, -1, b).transpose(1, 0, 2) for a in (coefs_t, g_t))
-        lik_s = lik.reshape(-1, b)
-
-        def stack(lo, hi, width):
-            at = lo if hi - lo == 1 else slice(lo, hi)
-            return coefs_s[at, :, :width], g_s[at, :, :width], lik_s[at, :width], (hi - lo) * width
-
+    def _stacks(self, c: int):
+        """This thread's layout for c chains, rebuilt when c changes: cols, a
+        (2, D, c) buffer of the coefficients the margins read and the
+        gradient's likelihood part the residual products write, and for each
+        group of block_groups(c) its stacks (coefs, g, margins, work, wide,
+        lo, hi), rows lo to hi as k blocks of w rows: (k, D, w) views of
+        cols' columns and (k, N, w) panels cut from scratch the group owns,
+        sized for its largest stack. wide holds the float64 terms the stack
+        sums: work itself in double precision, a third panel in single. Runs
+        of full blocks are cut into stacks of stack_blocks; a short last
+        block is a stack of one at its own width."""
+        cached = getattr(self._scratch, "stacks", None)
+        if cached is not None and cached[0] == c:
+            return cached[1:]
+        d, n, b, k = self.num_features, len(self._xs), self.block_rows, self.stack_blocks
+        full = c // b
+        cols = np.empty((2, d, c), dtype=self.dtype)
         groups = []
         for blocks in self.block_groups(c) or [range(0)]:
             stop = min(blocks.stop, full)
-            stacks = [stack(lo, min(lo + k, stop), b) for lo in range(blocks.start, stop, k)]
-            if tail and full in blocks:
-                stacks.append(stack(full, full + 1, tail))
+            spans = [(lo * b, min(lo + k, stop) * b) for lo in range(blocks.start, stop, k)]
+            if c % b and full in blocks:
+                spans.append((full * b, c))
+            size = n * max((hi - lo for lo, hi in spans), default=0)
+            margins, work = np.empty((2, size), dtype=self.dtype)
+            wide = work if self.dtype == np.float64 else np.empty(size)
+            stacks = []
+            for lo, hi in spans:
+                w = min(b, hi - lo)
+                views = [a[:, lo:hi].reshape(d, -1, w).transpose(1, 0, 2) for a in cols]
+                panels = [a[: n * (hi - lo)].reshape(-1, n, w) for a in (margins, work, wide)]
+                stacks.append((*views, *panels, lo, hi))
             groups.append(stacks)
-        layout = _Layout(c, coefs_t[:, :c], g_t[:, :c].T, lik[:c], groups)
-        self._scratch.layout = layout
-        return layout
+        self._scratch.stacks = c, cols, groups
+        return cols, groups
 
     def param_names(self) -> list[str]:
         d = self.num_features
@@ -510,31 +477,31 @@ class ModelTarget(Target):
         The per-observation pipeline (margins, Bernoulli terms, residuals
         times x) runs stack by stack, each block of b states as an (N, b)
         panel that stays in cache: margins xs @ coefs.T, the residual
-        product xs.T @ residuals into the block's columns of a (D, C)
-        gradient, and the terms panel's column sums, ones @ terms in
-        float64, into the block's rows of the likelihood total. A stack of
-        k blocks is one numpy call per step over a (k, N, b) panel, which
-        makes one BLAS call per block with the GIL released throughout.
-        The margins, the residuals and the terms are written into the
-        evaluating thread's scratch panels, never into fresh arrays.
+        product xs.T @ residuals into the block's columns of the (D, C)
+        gradient buffer, and the terms panel's column sums, ones @ terms in
+        float64, into the block's rows of a fresh (C,) total, to which the
+        prior is then added. A stack of k blocks is one numpy call per step
+        over a (k, N, w) panel, which makes one BLAS call per block with the
+        GIL released throughout. The margins, the residuals and the terms
+        are written into the scratch of the calling thread's layout
+        (_stacks), never into fresh arrays.
         """
         c, d = len(zb), self.num_features
         # u = [u_tau, u_lamb], the log scales, adjacent in the state
         u, beta = zb[:, : 1 + d], zb[:, 1 + d :]
         a, r = self._gamma_a, self._gamma_r
-        layout = self._layout(c)
-        total = out = None
+        cols, groups = self._stacks(c)
+        total = np.empty(c) if value else None
+        out = None
         # overflow to inf is fine, and the caller silences it: an overflowed
         # scale is dead by prior and the whole state is masked
         scale = np.exp(u[:, :1] + u[:, 1:])  # tau * lamb in one exp
         coefs = scale * beta
-        layout.coefs_t[...] = coefs.T  # (D, C): a block is its columns
+        cols[0] = coefs.T  # (D, C): a block is its columns
         exp_u = np.exp(u)  # [tau, lamb], shared by the terms and the gradient
 
         def pipeline(stacks):
-            panels = self._panels()
-            for coefs_s, g_s, lik_s, rows in stacks:
-                margins, work, wide = panels[rows]
+            for coefs_s, g_s, margins, work, wide, lo, hi in stacks:
                 np.matmul(self._xs, coefs_s, out=margins)
                 if grad:
                     np.matmul(self._xs_t, _sign_residuals(margins, out=work), out=g_s)
@@ -542,10 +509,10 @@ class ModelTarget(Target):
                     _bernoulli_terms(margins, out=work, scratch=work)
                     if wide is not work:
                         np.copyto(wide, work)
-                    np.matmul(self._ones, wide, out=lik_s)
+                    np.matmul(self._ones, wide, out=total[lo:hi].reshape(len(wide), -1))
 
-        jobs = [_pool(self.threads).submit(pipeline, stacks) for stacks in layout.groups[1:]]
-        pipeline(layout.groups[0])
+        jobs = [_pool(self.threads).submit(pipeline, stacks) for stacks in groups[1:]]
+        pipeline(groups[0])
         for job in jobs:
             job.result()
         if value:
@@ -553,11 +520,11 @@ class ModelTarget(Target):
             prior_terms[:, : 1 + d] = self._gamma_const + a * u - r * exp_u
             prior_terms[:, 1 + d :] = self._normal_const - self._half * beta * beta
             prior = prior_terms.sum(axis=1, dtype=np.float64)
-            total = layout.lik + prior
+            total += prior
             # a scale that overflowed exp() is dead by prior; never report NaN
             total[~np.isfinite(prior)] = -np.inf
         if grad:
-            g = layout.g
+            g = cols[1].T
             coefs_g = np.multiply(coefs, g, out=coefs)
             out = np.empty_like(zb)
             head, tail = out[:, : 1 + d], out[:, 1 + d :]

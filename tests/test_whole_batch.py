@@ -205,9 +205,11 @@ def test_threads_give_the_one_thread_bits(precision, threads, chains):
 def test_concurrent_callers_get_the_one_thread_bits(precision, threads):
     """Callers evaluating one target at once, more of them than this
     machine has cores, each get bitwise what one caller alone gets: every
-    evaluating thread writes its own scratch."""
+    calling thread builds and holds its own layout and group scratch, here
+    for 1, 17, 64 and 256 chains at once."""
     one, shared = regression_target(precision), regression_target(precision, threads)
-    zs = [0.3 * np.asarray(normal(key, [64, one.dim])) for key in split(key_from_seed(41), 4)]
+    zs = [0.3 * np.asarray(normal(key, [chains, one.dim]))
+          for key, chains in zip(split(key_from_seed(41), 4), (1, 17, 64, 256))]
     start = threading.Barrier(len(zs))
 
     def evaluate(target, z):
@@ -262,6 +264,26 @@ def test_warm_evaluations_allocate_no_panels(make, precision, threads):
             tracemalloc.stop()
         outputs = sum(a.nbytes for a in (outs if isinstance(outs, tuple) else (outs,)))
         assert peak < outputs + panel, (peak, outputs, panel)
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_first_evaluation_allocates_only_its_stacks_scratch(precision, threads):
+    """Scratch is sized to the stacks an evaluation runs, not to a full
+    stack per thread: a fresh 4000-row target's first value_and_grad of 2
+    chains, one block of two rows, peaks below one (N, block_rows) panel."""
+    ds = generate_synthetic(split(key_from_seed(6), 2)[0], 4000, 24, 0.25)
+    target = ModelTarget(ds, precision=precision, threads=threads)
+    panel = len(target._xs) * target.block_rows * target._xs.itemsize
+    assert panel == 512_000
+    z = 0.3 * np.asarray(normal(key_from_seed(8), [2, target.dim]))
+    tracemalloc.start()
+    try:
+        target.value_and_grad(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < panel, peak
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
